@@ -1,8 +1,8 @@
 //! Head-to-head microbenchmarks of the event-queue backends: the
-//! arena-backed calendar wheel (default), the sharded wheel at one and
-//! four shards, and the binary heap they replaced.
+//! arena-backed calendar wheel (default) and the binary heap it
+//! replaced.
 //!
-//! All backends run the same workloads so a single report shows the
+//! Both backends run the same workloads so a single report shows the
 //! wheel's advantage (or any regression) directly:
 //!
 //! - `push_pop_10k`: bulk load of uniformly random timestamps followed
@@ -36,10 +36,8 @@ use std::hint::black_box;
 #[global_allocator]
 static ALLOC: bench::CountingAlloc = bench::CountingAlloc;
 
-const BACKENDS: [(QueueBackend, &str); 4] = [
+const BACKENDS: [(QueueBackend, &str); 2] = [
     (QueueBackend::CalendarWheel, "wheel"),
-    (QueueBackend::ShardedWheel { shards: 1 }, "sharded1"),
-    (QueueBackend::ShardedWheel { shards: 4 }, "sharded4"),
     (QueueBackend::BinaryHeap, "heap"),
 ];
 

@@ -288,10 +288,7 @@ impl SegmentedCache {
         }
         self.segments.clear();
         for _ in 0..n {
-            let vals: Vec<u64> = r.nums("seg")?;
-            let [next_lba, media_pos, as_of, last_use] = vals[..] else {
-                return Err(StateError::new("segment line needs 4 values"));
-            };
+            let [next_lba, media_pos, as_of, last_use] = r.array("seg")?;
             self.segments.push(Segment {
                 next_lba,
                 media_pos,

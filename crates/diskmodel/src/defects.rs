@@ -148,10 +148,7 @@ impl DefectMap {
         let n: usize = r.num("defects")?;
         self.remapped.clear();
         for _ in 0..n {
-            let vals: Vec<u64> = r.nums("remap")?;
-            let [bad, spare] = vals[..] else {
-                return Err(StateError::new("remap line needs 2 values"));
-            };
+            let [bad, spare] = r.array("remap")?;
             self.remapped.insert(bad, spare);
         }
         self.spare_used = spare_used;

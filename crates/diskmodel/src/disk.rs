@@ -479,10 +479,7 @@ impl Disk {
             _ => return Err(StateError::new("write_stream needs 0 or 2 values")),
         };
         self.defects.load_state(r)?;
-        let raw: Vec<u64> = r.nums("hist_buckets")?;
-        let buckets: [u64; 64] = raw
-            .try_into()
-            .map_err(|_| StateError::new("histogram needs 64 buckets"))?;
+        let buckets = r.array("hist_buckets")?;
         let total = Duration::from_nanos(r.num("hist_total")?);
         let max = Duration::from_nanos(r.num("hist_max")?);
         self.service_hist = Histogram::from_raw(buckets, total, max);

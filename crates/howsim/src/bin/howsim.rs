@@ -101,32 +101,12 @@ struct Options {
     deadline: DeadlinePolicy,
 }
 
-/// Parses `--queue` values: `heap`, `wheel`, or `sharded:<n>`.
-fn parse_queue(name: &str) -> Result<QueueBackend, String> {
-    match name {
-        "heap" => Ok(QueueBackend::BinaryHeap),
-        "wheel" => Ok(QueueBackend::CalendarWheel),
-        _ => match name.strip_prefix("sharded:") {
-            Some(n) => {
-                let shards: usize = n.parse().map_err(|e| format!("--queue sharded:<n>: {e}"))?;
-                if shards == 0 {
-                    return Err("--queue sharded:<n> needs n >= 1".to_string());
-                }
-                Ok(QueueBackend::ShardedWheel { shards })
-            }
-            None => Err(format!(
-                "--queue: unknown backend `{name}` (want heap, wheel, or sharded:<n>)"
-            )),
-        },
-    }
-}
-
 fn usage() -> String {
     "usage: howsim [explain|profile|checkpoint] --arch <active|cluster|smp> --disks <n> --task <name>\n\
      \x20      [--memory <MB>] [--interconnect <MB/s>] [--no-direct]\n\
      \x20      [--fibre-switch] [--fast-disk] [--jobs <n>] [--cache] [--no-cache]\n\
      \x20      [--seed <n>] [--fault <spec>]... [--recovery <failstop|redistribute|reconstruct>]\n\
-     \x20      [--queue <heap|wheel|sharded:<n>>]\n\
+     \x20      [--queue <heap|wheel>]\n\
      \x20      [--trace <file.csv>] [--trace-out <file.jsonl>] [--metrics-out <file.json>]\n\
      \x20      [--trace-events <file.json>]\n\
      \x20      [--load <poisson:<qps>:<queries>[@seed] | closed:<clients>:<queries>[@seed]>]\n\
@@ -254,7 +234,17 @@ fn parse(args: &[String]) -> Result<Options, String> {
                 FaultPlan::parse_spec(&spec)?;
                 opts.faults.push(spec);
             }
-            "--queue" => opts.queue = parse_queue(&value("--queue")?)?,
+            "--queue" => {
+                opts.queue = match value("--queue")?.as_str() {
+                    "heap" => QueueBackend::BinaryHeap,
+                    "wheel" => QueueBackend::CalendarWheel,
+                    other => {
+                        return Err(format!(
+                            "--queue: unknown backend `{other}` (want heap or wheel)"
+                        ))
+                    }
+                }
+            }
             "--at" => opts.at = Some(howsim::parse_duration(&value("--at")?)?),
             "--out" => opts.out = Some(value("--out")?),
             "--resume-from" => opts.resume_from = Some(value("--resume-from")?),
@@ -343,6 +333,30 @@ fn build_architecture(opts: &Options) -> Result<Architecture, String> {
         arch = arch.with_disk_spec(diskmodel::DiskSpec::hitachi_dk3e1t_91());
     }
     Ok(arch)
+}
+
+/// Builds the `--fault` plan, rejecting any spec whose target node the
+/// machine does not have (the executor would otherwise skip it and
+/// simulate a healthy run).
+fn build_fault_plan(specs: &[String], arch: &Architecture) -> Result<FaultPlan, String> {
+    let nodes = arch.disks();
+    specs.iter().try_fold(FaultPlan::new(), |plan, spec| {
+        let plan = plan.with_spec(spec)?;
+        match plan
+            .events()
+            .iter()
+            .map(|e| e.kind.node())
+            .find(|&n| n >= nodes)
+        {
+            Some(node) => Err(format!(
+                "--fault {spec}: node {node} does not exist on the {nodes}-disk {} machine \
+                 (valid nodes: 0-{})",
+                arch.short_name(),
+                nodes.saturating_sub(1)
+            )),
+            None => Ok(plan),
+        }
+    })
 }
 
 /// Prints the per-resource utilization table (service vs wait) and the
@@ -619,16 +633,13 @@ fn main() -> ExitCode {
     } else if opts.disk_cache {
         howsim::cache::set_disk_dir(Some(howsim::cache::default_disk_dir()));
     }
-    let mut fault_plan = FaultPlan::new();
-    for spec in &opts.faults {
-        fault_plan = match fault_plan.with_spec(spec) {
-            Ok(p) => p,
-            Err(msg) => {
-                eprintln!("{msg}");
-                return ExitCode::FAILURE;
-            }
-        };
-    }
+    let fault_plan = match build_fault_plan(&opts.faults, &arch) {
+        Ok(p) => p,
+        Err(msg) => {
+            eprintln!("{msg}");
+            return ExitCode::FAILURE;
+        }
+    };
     let sim = Simulation::new(arch.clone())
         .with_seed(opts.seed)
         .with_fault_plan(fault_plan.clone())
@@ -921,12 +932,7 @@ mod tests {
             parse(&argv("--queue wheel")).unwrap().queue,
             QueueBackend::CalendarWheel
         );
-        assert_eq!(
-            parse(&argv("--queue sharded:4")).unwrap().queue,
-            QueueBackend::ShardedWheel { shards: 4 }
-        );
-        assert!(parse(&argv("--queue sharded:0")).is_err());
-        assert!(parse(&argv("--queue sharded:x")).is_err());
+        assert!(parse(&argv("--queue sharded:4")).is_err());
         assert!(parse(&argv("--queue splay")).is_err());
         assert!(parse(&argv("--queue")).is_err());
     }

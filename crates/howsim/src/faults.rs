@@ -75,6 +75,17 @@ pub enum FaultKind {
     },
 }
 
+impl FaultKind {
+    /// The node the fault targets.
+    pub fn node(&self) -> usize {
+        match *self {
+            FaultKind::DiskFailStop { node }
+            | FaultKind::MediaBurst { node, .. }
+            | FaultKind::LinkFault { node, .. } => node,
+        }
+    }
+}
+
 /// A fault scheduled at an absolute simulated-time offset.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultEvent {

@@ -25,6 +25,7 @@
 
 pub mod cache;
 pub mod checkpoint;
+pub mod codec;
 pub mod exec;
 pub mod faults;
 pub mod machine;

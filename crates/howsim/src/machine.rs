@@ -269,22 +269,6 @@ impl Machine {
         self.nodes
     }
 
-    /// Conservative lookahead bound for partitioned event scheduling:
-    /// the minimum latency any cross-node interaction pays on this
-    /// machine's interconnect. An event one node schedules on another is
-    /// always at least this far in the future, which bounds how far
-    /// independent scheduler shards could run ahead of each other.
-    pub fn lookahead_bound(&self) -> Duration {
-        match &self.fabric {
-            Fabric::Active { fc, .. } => match fc {
-                ActiveWire::Loop(fc) => fc.arbitration(),
-                ActiveWire::Switch(sw) => sw.switch_latency(),
-            },
-            Fabric::Cluster { net, .. } => net.min_link_latency(),
-            Fabric::Smp { mem, .. } => mem.link_latency(),
-        }
-    }
-
     /// The pipeline window (in-flight batches) per node.
     pub fn window(&self) -> usize {
         self.window
@@ -1008,17 +992,9 @@ impl Machine {
             }
         }
         for c in &mut self.cursors {
-            let vals: Vec<u64> = r.nums("cursor")?;
-            let [a, b] = vals[..] else {
-                return Err(StateError::new("cursor line needs 2 values"));
-            };
-            *c = [a, b];
+            *c = r.array("cursor")?;
         }
-        let sc: Vec<usize> = r.nums("stripe_cursor")?;
-        let [sr, sw] = sc[..] else {
-            return Err(StateError::new("stripe_cursor line needs 2 values"));
-        };
-        self.stripe_cursor = [sr, sw];
+        self.stripe_cursor = r.array("stripe_cursor")?;
         self.interconnect_bytes = r.num("interconnect_bytes")?;
         self.frontend_bytes = r.num("frontend_bytes")?;
         let flags: Vec<u8> = r.nums("failed")?;

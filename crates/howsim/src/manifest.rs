@@ -15,17 +15,15 @@
 //! which carries wall-clock measurements and is `null` unless
 //! explicitly attached via [`RunManifest::with_host`].
 
-use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
 use std::process::Command;
-use std::sync::{Mutex, OnceLock};
 
 use arch::Architecture;
-use simcore::{Duration, Histogram};
+use simcore::Duration;
 
-use crate::metrics::{Attribution, Resource, ResourceUsage, RunMetrics};
-use crate::mqexec::{LoadReport, QueryOutcome, QueryPhase, QueryStatus};
-use crate::report::{PhaseReport, Report};
+use crate::metrics::{Attribution, RunMetrics};
+use crate::mqexec::LoadReport;
+use crate::report::Report;
 use crate::trace::TraceSummary;
 
 /// Manifest schema identifier, bumped on breaking layout changes.
@@ -435,358 +433,9 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
     hash
 }
 
-/// Interns a string, returning a `&'static str` with the same contents.
-///
-/// [`Report`] carries `&'static str` names (task, architecture, phase and
-/// CPU-work tags); deserializing a cached report reconstructs them by
-/// leaking each *distinct* name once per process. The set of names is
-/// tiny and fixed by the workload definitions, so the leak is bounded.
-pub(crate) fn intern(s: &str) -> &'static str {
-    static POOL: OnceLock<Mutex<HashMap<String, &'static str>>> = OnceLock::new();
-    let mut pool = POOL
-        .get_or_init(|| Mutex::new(HashMap::new()))
-        .lock()
-        .expect("intern pool lock");
-    if let Some(&v) = pool.get(s) {
-        return v;
-    }
-    let leaked: &'static str = Box::leak(s.to_string().into_boxed_str());
-    pool.insert(s.to_string(), leaked);
-    leaked
-}
-
-/// Serializes a [`Report`] to the compact line-based format used by the
-/// result cache (see [`crate::cache`]).
-///
-/// Every field is an exact integer — nanoseconds, bytes, or counts; the
-/// report holds no floats — so the round trip through
-/// [`report_from_cache`] is field-identical, and serializing the same
-/// report twice yields identical bytes.
-pub fn report_to_cache(report: &Report) -> String {
-    let mut out = String::with_capacity(1024);
-    let _ = writeln!(out, "task {}", report.task);
-    let _ = writeln!(out, "arch {}", report.architecture);
-    let _ = writeln!(out, "disks {}", report.disks);
-    let _ = writeln!(out, "events {}", report.events);
-    let _ = writeln!(out, "faults_injected {}", report.faults_injected);
-    let _ = writeln!(out, "recovery_ns {}", report.recovery_time.as_nanos());
-    let _ = writeln!(out, "work_redistributed {}", report.work_redistributed);
-    let _ = writeln!(out, "aborted {}", u8::from(report.aborted));
-    let _ = writeln!(out, "downtime_ns {}", report.downtime.as_nanos());
-    let h = &report.disk_service;
-    let _ = writeln!(out, "hist_total_ns {}", h.total().as_nanos());
-    let _ = writeln!(out, "hist_max_ns {}", h.max().as_nanos());
-    out.push_str("hist_buckets");
-    for c in h.bucket_counts() {
-        let _ = write!(out, " {c}");
-    }
-    out.push('\n');
-    let _ = writeln!(out, "phases {}", report.phases.len());
-    for p in &report.phases {
-        let _ = writeln!(out, "phase {}", p.name);
-        let _ = writeln!(out, "elapsed_ns {}", p.elapsed.as_nanos());
-        let _ = writeln!(out, "cpu_busy_ns {}", p.cpu_busy_total.as_nanos());
-        let _ = writeln!(out, "disk_busy_ns {}", p.disk_busy_total.as_nanos());
-        let _ = writeln!(out, "interconnect_bytes {}", p.interconnect_bytes);
-        let _ = writeln!(out, "frontend_bytes {}", p.frontend_bytes);
-        let _ = writeln!(out, "nodes {}", p.nodes);
-        let _ = writeln!(out, "tags {}", p.cpu_busy_by_tag.len());
-        for (tag, d) in &p.cpu_busy_by_tag {
-            // Nanoseconds first: the tag is the rest of the line, so
-            // names with spaces survive the round trip.
-            let _ = writeln!(out, "tag {} {}", d.as_nanos(), tag);
-        }
-        let _ = writeln!(out, "resources {}", p.resources.len());
-        for u in &p.resources {
-            let _ = writeln!(
-                out,
-                "res {} {} {} {}",
-                u.resource.key(),
-                u.busy.as_nanos(),
-                u.wait.as_nanos(),
-                u.lanes
-            );
-        }
-    }
-    out
-}
-
-/// Reads lines of the cache format, enforcing the expected field order.
-struct CacheLines<'a> {
-    lines: std::str::Lines<'a>,
-}
-
-impl<'a> CacheLines<'a> {
-    /// The value of the next line, which must start with `key `.
-    fn field(&mut self, key: &str) -> Result<&'a str, String> {
-        let line = self
-            .lines
-            .next()
-            .ok_or_else(|| format!("missing `{key}` line"))?;
-        line.strip_prefix(key)
-            .and_then(|rest| rest.strip_prefix(' '))
-            .ok_or_else(|| format!("expected `{key} ...`, got `{line}`"))
-    }
-
-    /// The next `key`-line value parsed as a number.
-    fn num<T: std::str::FromStr>(&mut self, key: &str) -> Result<T, String> {
-        self.field(key)?
-            .trim()
-            .parse()
-            .map_err(|_| format!("bad number in `{key}` line"))
-    }
-}
-
-/// Parses the output of [`report_to_cache`] back into a [`Report`].
-///
-/// Strict: any missing, reordered, malformed, or trailing line is an
-/// error, so a corrupt or stale on-disk cache entry is rejected rather
-/// than silently misread.
-pub fn report_from_cache(text: &str) -> Result<Report, String> {
-    let mut p = CacheLines {
-        lines: text.lines(),
-    };
-    let task = intern(p.field("task")?);
-    let architecture = intern(p.field("arch")?);
-    let disks: usize = p.num("disks")?;
-    let events: u64 = p.num("events")?;
-    let faults_injected: u64 = p.num("faults_injected")?;
-    let recovery_time = Duration::from_nanos(p.num("recovery_ns")?);
-    let work_redistributed: u64 = p.num("work_redistributed")?;
-    let aborted = match p.num::<u8>("aborted")? {
-        0 => false,
-        1 => true,
-        other => return Err(format!("aborted: expected 0 or 1, got {other}")),
-    };
-    let downtime = Duration::from_nanos(p.num("downtime_ns")?);
-    let total = Duration::from_nanos(p.num("hist_total_ns")?);
-    let max = Duration::from_nanos(p.num("hist_max_ns")?);
-    let mut buckets = [0u64; 64];
-    let mut counts = p.field("hist_buckets")?.split_whitespace();
-    for b in buckets.iter_mut() {
-        *b = counts
-            .next()
-            .ok_or("hist_buckets: expected 64 counts")?
-            .parse()
-            .map_err(|_| "hist_buckets: bad count".to_string())?;
-    }
-    if counts.next().is_some() {
-        return Err("hist_buckets: more than 64 counts".into());
-    }
-    let disk_service = Histogram::from_raw(buckets, total, max);
-    let nphases: usize = p.num("phases")?;
-    let mut phases = Vec::with_capacity(nphases);
-    for _ in 0..nphases {
-        let name = intern(p.field("phase")?);
-        let elapsed = Duration::from_nanos(p.num("elapsed_ns")?);
-        let cpu_busy_total = Duration::from_nanos(p.num("cpu_busy_ns")?);
-        let disk_busy_total = Duration::from_nanos(p.num("disk_busy_ns")?);
-        let interconnect_bytes: u64 = p.num("interconnect_bytes")?;
-        let frontend_bytes: u64 = p.num("frontend_bytes")?;
-        let nodes: usize = p.num("nodes")?;
-        let ntags: usize = p.num("tags")?;
-        let mut cpu_busy_by_tag = BTreeMap::new();
-        for _ in 0..ntags {
-            let rest = p.field("tag")?;
-            let (ns, tag) = rest.split_once(' ').ok_or("tag: expected `<ns> <name>`")?;
-            let ns: u64 = ns.parse().map_err(|_| "tag: bad nanoseconds".to_string())?;
-            cpu_busy_by_tag.insert(intern(tag), Duration::from_nanos(ns));
-        }
-        let nres: usize = p.num("resources")?;
-        let mut resources = Vec::with_capacity(nres);
-        for _ in 0..nres {
-            let rest = p.field("res")?;
-            let mut parts = rest.split_whitespace();
-            let key = parts.next().ok_or("res: missing resource key")?;
-            let resource =
-                Resource::from_key(key).ok_or_else(|| format!("res: unknown resource `{key}`"))?;
-            let busy = Duration::from_nanos(
-                parts
-                    .next()
-                    .ok_or("res: missing busy time")?
-                    .parse()
-                    .map_err(|_| "res: bad busy time".to_string())?,
-            );
-            let wait = Duration::from_nanos(
-                parts
-                    .next()
-                    .ok_or("res: missing wait time")?
-                    .parse()
-                    .map_err(|_| "res: bad wait time".to_string())?,
-            );
-            let lanes: u32 = parts
-                .next()
-                .ok_or("res: missing lanes")?
-                .parse()
-                .map_err(|_| "res: bad lanes".to_string())?;
-            resources.push(ResourceUsage {
-                resource,
-                busy,
-                wait,
-                lanes,
-            });
-        }
-        phases.push(PhaseReport {
-            name,
-            elapsed,
-            cpu_busy_by_tag,
-            cpu_busy_total,
-            disk_busy_total,
-            interconnect_bytes,
-            frontend_bytes,
-            nodes,
-            resources,
-        });
-    }
-    if let Some(extra) = p.lines.next() {
-        return Err(format!("trailing data after last phase: `{extra}`"));
-    }
-    Ok(Report {
-        task,
-        architecture,
-        disks,
-        phases,
-        disk_service,
-        events,
-        faults_injected,
-        recovery_time,
-        work_redistributed,
-        aborted,
-        downtime,
-    })
-}
-
 /// Load-manifest schema identifier (the loaded-run counterpart of
 /// [`SCHEMA`]), bumped on breaking layout changes.
 pub const LOAD_SCHEMA: &str = "howsim-load-manifest/v1";
-
-/// Serializes a [`LoadReport`] to the compact line-based format used by
-/// the result cache. Every field is an exact integer or a verbatim
-/// string — no floats — so the round trip through
-/// [`load_report_from_cache`] is field-identical.
-pub fn load_report_to_cache(report: &LoadReport) -> String {
-    let mut out = String::with_capacity(1024);
-    let _ = writeln!(out, "arch {}", report.architecture);
-    let _ = writeln!(out, "disks {}", report.disks);
-    let _ = writeln!(out, "workload {}", report.workload);
-    let _ = writeln!(out, "admission {}", report.admission);
-    let _ = writeln!(out, "deadline {}", report.deadline);
-    let _ = writeln!(out, "elapsed_ns {}", report.elapsed.as_nanos());
-    let _ = writeln!(out, "events {}", report.events);
-    let _ = writeln!(out, "faults_injected {}", report.faults_injected);
-    let _ = writeln!(out, "work_redistributed {}", report.work_redistributed);
-    let _ = writeln!(out, "downtime_ns {}", report.downtime.as_nanos());
-    let _ = writeln!(out, "queries {}", report.outcomes.len());
-    for o in &report.outcomes {
-        let _ = writeln!(out, "query {}", o.query);
-        let _ = writeln!(out, "qtask {}", o.task.name());
-        let _ = writeln!(out, "status {}", o.status.name());
-        let _ = writeln!(out, "arrival_ns {}", o.arrival.as_nanos());
-        match o.started {
-            Some(t) => {
-                let _ = writeln!(out, "started_ns {}", t.as_nanos());
-            }
-            None => out.push_str("started_ns none\n"),
-        }
-        let _ = writeln!(out, "finished_ns {}", o.finished.as_nanos());
-        let _ = writeln!(out, "retries {}", o.retries);
-        let _ = writeln!(out, "timeouts {}", o.timeouts);
-        let _ = writeln!(out, "qevents {}", o.events);
-        let _ = writeln!(out, "qphases {}", o.phases.len());
-        for p in &o.phases {
-            // Nanoseconds first: the name is the rest of the line.
-            let _ = writeln!(out, "qphase {} {}", p.elapsed.as_nanos(), p.name);
-        }
-    }
-    out
-}
-
-/// Parses the output of [`load_report_to_cache`] back into a
-/// [`LoadReport`]. Strict, like [`report_from_cache`]: any malformed or
-/// trailing line rejects the entry.
-pub fn load_report_from_cache(text: &str) -> Result<LoadReport, String> {
-    let mut p = CacheLines {
-        lines: text.lines(),
-    };
-    let architecture = intern(p.field("arch")?);
-    let disks: usize = p.num("disks")?;
-    let workload = p.field("workload")?.to_string();
-    let admission = p.field("admission")?.to_string();
-    let deadline = p.field("deadline")?.to_string();
-    let elapsed = Duration::from_nanos(p.num("elapsed_ns")?);
-    let events: u64 = p.num("events")?;
-    let faults_injected: u64 = p.num("faults_injected")?;
-    let work_redistributed: u64 = p.num("work_redistributed")?;
-    let downtime = Duration::from_nanos(p.num("downtime_ns")?);
-    let nqueries: usize = p.num("queries")?;
-    let mut outcomes = Vec::with_capacity(nqueries);
-    for _ in 0..nqueries {
-        let query: u32 = p.num("query")?;
-        let task_name = p.field("qtask")?;
-        let task = *tasks::TaskKind::ALL
-            .iter()
-            .find(|k| k.name() == task_name)
-            .ok_or_else(|| format!("qtask: unknown task `{task_name}`"))?;
-        let status_name = p.field("status")?;
-        let status = QueryStatus::parse(status_name)
-            .ok_or_else(|| format!("status: unknown status `{status_name}`"))?;
-        let arrival = simcore::SimTime::from_nanos(p.num("arrival_ns")?);
-        let started = match p.field("started_ns")? {
-            "none" => None,
-            ns => Some(simcore::SimTime::from_nanos(
-                ns.parse()
-                    .map_err(|_| "started_ns: bad value".to_string())?,
-            )),
-        };
-        let finished = simcore::SimTime::from_nanos(p.num("finished_ns")?);
-        let retries: u32 = p.num("retries")?;
-        let timeouts: u32 = p.num("timeouts")?;
-        let qevents: u64 = p.num("qevents")?;
-        let nphases: usize = p.num("qphases")?;
-        let mut phases = Vec::with_capacity(nphases);
-        for _ in 0..nphases {
-            let rest = p.field("qphase")?;
-            let (ns, name) = rest
-                .split_once(' ')
-                .ok_or("qphase: expected `<ns> <name>`")?;
-            let ns: u64 = ns
-                .parse()
-                .map_err(|_| "qphase: bad nanoseconds".to_string())?;
-            phases.push(QueryPhase {
-                name: intern(name),
-                elapsed: Duration::from_nanos(ns),
-            });
-        }
-        outcomes.push(QueryOutcome {
-            query,
-            task,
-            arrival,
-            started,
-            finished,
-            status,
-            retries,
-            timeouts,
-            phases,
-            events: qevents,
-        });
-    }
-    if let Some(extra) = p.lines.next() {
-        return Err(format!("trailing data after last query: `{extra}`"));
-    }
-    Ok(LoadReport {
-        architecture,
-        disks,
-        workload,
-        admission,
-        deadline,
-        outcomes,
-        elapsed,
-        events,
-        faults_injected,
-        work_redistributed,
-        downtime,
-    })
-}
 
 /// Serializes a loaded run as deterministic JSON: config, aggregate load
 /// statistics (percentiles, goodput, shed/timeout/retry counts), and the
@@ -984,35 +633,6 @@ mod tests {
         assert!(json.contains("\"seed\": 7"));
         assert!(json.contains("\"trace\": {\"total\":"));
         assert!(json.contains("\"generated_unix_ms\": 1700000000000"));
-    }
-
-    #[test]
-    fn report_cache_round_trip_is_field_identical() {
-        let arch = Architecture::active_disks(4);
-        let fresh = Simulation::new(arch).run(TaskKind::Sort);
-        let text = report_to_cache(&fresh);
-        let back = report_from_cache(&text).expect("well-formed cache text");
-        assert_eq!(back, fresh, "round trip must preserve every field");
-        assert_eq!(report_to_cache(&back), text, "serialization is stable");
-    }
-
-    #[test]
-    fn report_cache_rejects_malformed_input() {
-        assert!(report_from_cache("").is_err());
-        assert!(report_from_cache("task x\n").is_err());
-        let arch = Architecture::smp(2);
-        let fresh = Simulation::new(arch).run(TaskKind::Select);
-        let text = report_to_cache(&fresh);
-        assert!(report_from_cache(&text[..text.len() / 2]).is_err());
-        assert!(report_from_cache(&format!("{text}junk trailing\n")).is_err());
-    }
-
-    #[test]
-    fn intern_is_idempotent_and_content_equal() {
-        let a = intern("some-phase-name");
-        let b = intern("some-phase-name");
-        assert_eq!(a, "some-phase-name");
-        assert!(std::ptr::eq(a, b), "same name interns to the same pointer");
     }
 
     #[test]

@@ -54,9 +54,8 @@ use tasks::plan::TaskPlan;
 use tasks::{plan_task, TaskKind};
 
 use crate::exec::{
-    handle_ev, init_phase_nodes, phase_region, phase_writes, prepare_read, shard_of_ev, Ev, EvQ,
-    FaultRt, NodeState, PhaseCosts, PhaseCtx, Simulation, SpanRt, BARRIER_RESOURCE,
-    POSITIONING_RESOURCE,
+    handle_ev, init_phase_nodes, phase_region, phase_writes, prepare_read, Ev, EvQ, FaultRt,
+    NodeState, PhaseCosts, PhaseCtx, Simulation, SpanRt, BARRIER_RESOURCE, POSITIONING_RESOURCE,
 };
 use crate::faults::{FaultPlan, RecoveryPolicy, DETECT_TIMEOUT};
 use crate::machine::Machine;
@@ -902,9 +901,7 @@ impl Simulation {
         // node plus its fan-out, and each query owns at most one control
         // event of each kind.
         let cap = admission.max_concurrent * n * (window + 4) + 2 * tasks.len() + 64;
-        let mut q: EventQueue<Ev> = EventQueue::with_backend_capacity(self.queue_backend(), cap);
-        q.set_shard_fn(shard_of_ev);
-        q.set_lookahead(machine.lookahead_bound());
+        let q: EventQueue<Ev> = EventQueue::with_backend_capacity(self.queue_backend(), cap);
 
         let runs: Vec<QueryRun> = tasks
             .iter()

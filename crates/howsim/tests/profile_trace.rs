@@ -9,12 +9,7 @@ use howsim::Simulation;
 use simcore::{Duration, QueueBackend};
 use tasks::TaskKind;
 
-const BACKENDS: [QueueBackend; 4] = [
-    QueueBackend::BinaryHeap,
-    QueueBackend::CalendarWheel,
-    QueueBackend::ShardedWheel { shards: 1 },
-    QueueBackend::ShardedWheel { shards: 4 },
-];
+const BACKENDS: [QueueBackend; 2] = [QueueBackend::BinaryHeap, QueueBackend::CalendarWheel];
 
 /// Profiling must not change simulation results: the report from a
 /// profiled run is identical to a plain run, on every queue backend.

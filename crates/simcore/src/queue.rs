@@ -62,28 +62,6 @@
 //! the rare longer-range event (a deeply queued disk or a saturated
 //! interconnect) takes the overflow heap and migrates back in.
 //!
-//! ## Sharded wheel
-//!
-//! [`QueueBackend::ShardedWheel`] partitions events over `shards`
-//! independent wheels by a caller-supplied key function (the executor
-//! shards by node group; see [`EventQueue::set_shard_fn`]). Sequence
-//! numbers stay global, and pop takes the exact `(time, seq)` argmin
-//! over per-shard cached heads, so the pop sequence — and therefore
-//! every simulation report — is **byte-identical** to the single-wheel
-//! and binary-heap backends for any shard count. The backend also
-//! carries a conservative *lookahead* bound ([`EventQueue::set_lookahead`],
-//! the minimum interconnect link latency): events a shard schedules for
-//! another shard always land at least that far in the future, which is
-//! the window a future multi-core driver may drain shards independently
-//! within. On a single-CPU host the deterministic merge is the
-//! deliverable. With `shards == 1` the backend delegates straight to
-//! its single wheel and the merge machinery costs <3% (in practice it
-//! measures at parity with the plain wheel). With multiple shards the
-//! exact cross-shard argmin requires refreshing a shard's cached head
-//! after every pop, which costs roughly 20–25% single-threaded — the
-//! price of keeping reports byte-identical while exposing the
-//! parallelism window.
-//!
 //! Determinism is unchanged from the classic heap: ties fire in push
 //! order via the per-event sequence number, whatever mixture of
 //! bucket/overflow placements the events took. The reference
@@ -93,7 +71,7 @@
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use crate::time::{Duration, SimTime};
+use crate::time::SimTime;
 
 /// Log2 of the bucket width in nanoseconds (2^19 ns ≈ 524 µs).
 const BUCKET_SHIFT: u32 = 19;
@@ -106,16 +84,6 @@ const MAX_BUCKETS: usize = 1 << 16;
 
 /// Null slot index terminating arena chains and the freelist.
 const NIL: u32 = u32::MAX;
-
-/// Bucket count for a capacity hint: next power of two, clamped, with
-/// the no-hint default of [`DEFAULT_BUCKETS`].
-fn nbuckets_for(capacity: usize) -> usize {
-    if capacity == 0 {
-        DEFAULT_BUCKETS
-    } else {
-        capacity.next_power_of_two().clamp(MIN_BUCKETS, MAX_BUCKETS)
-    }
-}
 
 /// A pending event: fires at `time`, carrying `payload`.
 ///
@@ -153,10 +121,9 @@ impl<E> PartialOrd for Scheduled<E> {
 
 /// Which scheduler implementation an [`EventQueue`] runs on.
 ///
-/// All backends produce byte-identical pop sequences; the wheel is the
-/// default, the heap is retained as the differential-testing and
-/// benchmarking reference, and the sharded wheel partitions events for a
-/// future multi-core driver.
+/// Both backends produce byte-identical pop sequences; the wheel is the
+/// production scheduler and the heap is retained as the
+/// differential-testing and benchmarking reference.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum QueueBackend {
     /// Arena-backed calendar-queue / timing-wheel scheduler (the default).
@@ -164,12 +131,6 @@ pub enum QueueBackend {
     CalendarWheel,
     /// The classic binary-heap scheduler.
     BinaryHeap,
-    /// `shards` independent wheels with a deterministic `(time, seq)`
-    /// cross-shard merge at pop. See the module docs.
-    ShardedWheel {
-        /// Number of wheel partitions (at least 1).
-        shards: usize,
-    },
 }
 
 /// One slot of the arena slab: an event's key and payload plus the
@@ -224,10 +185,16 @@ struct Wheel<E> {
 }
 
 impl<E> Wheel<E> {
-    fn with_buckets(nbuckets: usize, slot_capacity: usize) -> Self {
-        debug_assert!(nbuckets.is_power_of_two() && nbuckets >= MIN_BUCKETS);
+    /// A wheel pre-sized for `capacity` pending events. The bucket count
+    /// is the hint's next power of two, clamped, with the no-hint default
+    /// of [`DEFAULT_BUCKETS`].
+    fn with_capacity(capacity: usize) -> Self {
+        let nbuckets = match capacity {
+            0 => DEFAULT_BUCKETS,
+            c => c.next_power_of_two().clamp(MIN_BUCKETS, MAX_BUCKETS),
+        };
         Wheel {
-            slots: Vec::with_capacity(slot_capacity),
+            slots: Vec::with_capacity(capacity),
             free: NIL,
             heads: vec![NIL; nbuckets],
             tails: vec![NIL; nbuckets],
@@ -235,10 +202,10 @@ impl<E> Wheel<E> {
             count: 0,
             cursor: 0,
             draining: false,
-            drain_buf: Vec::with_capacity(slot_capacity),
+            drain_buf: Vec::with_capacity(capacity),
             pos: 0,
             pending: Vec::new(),
-            overflow: BinaryHeap::new(),
+            overflow: BinaryHeap::with_capacity(capacity),
         }
     }
 
@@ -478,38 +445,28 @@ impl<E> Wheel<E> {
         Some(self.pop_current())
     }
 
-    /// The `(time, seq)` key of the earliest pending event, without
-    /// mutating the wheel (the cursor must only advance on actual pops:
-    /// it pins the legal range of future pushes).
-    fn peek_key(&self) -> Option<(SimTime, u64)> {
+    /// The time of the earliest pending event, without mutating the
+    /// wheel (the cursor must only advance on actual pops: it pins the
+    /// legal range of future pushes).
+    fn peek_time(&self) -> Option<SimTime> {
         // Fast path, mirroring `pop`: live drain state precedes every
         // other bucket and every overflow event, so no bitmap scan or
         // overflow comparison is needed.
         if self.draining {
-            let buf = self.drain_buf.get(self.pos).map(|&(t, q, _)| (t, q));
-            let pend = self
-                .pending
-                .first()
-                .map(|r| (r.time, self.slots[r.head as usize].seq));
-            match (buf, pend) {
-                // Buffer wins time ties (older seqs), as in pop.
-                (Some(b), Some(p)) => return Some(if p.0 < b.0 { p } else { b }),
-                (None, Some(p)) => return Some(p),
-                (Some(b), None) => return Some(b),
-                (None, None) => {}
+            let buf = self.drain_buf.get(self.pos).map(|&(t, _, _)| t);
+            let pend = self.pending.first().map(|r| r.time);
+            if let Some(t) = buf.into_iter().chain(pend).min() {
+                return Some(t);
             }
         }
         let bucket = if self.count > 0 {
             // Untouched bucket: min-scan its chain.
             let slot = self.next_occupied().expect("wheel holds events");
             let mut h = self.heads[slot];
-            let mut best: Option<(SimTime, u64)> = None;
+            let mut best: Option<SimTime> = None;
             while h != NIL {
                 let s = &self.slots[h as usize];
-                let key = (s.time, s.seq);
-                if best.is_none_or(|b| key < b) {
-                    best = Some(key);
-                }
+                best = Some(best.map_or(s.time, |b| b.min(s.time)));
                 h = s.next;
             }
             best
@@ -518,15 +475,8 @@ impl<E> Wheel<E> {
         };
         // An overflow event just outside a stale horizon can precede
         // every bucketed one, so always compare against the overflow top.
-        let over = self.overflow.peek().map(|s| (s.time, s.seq));
-        match (bucket, over) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
-    }
-
-    fn peek_time(&self) -> Option<SimTime> {
-        self.peek_key().map(|(t, _)| t)
+        let over = self.overflow.peek().map(|s| s.time);
+        bucket.into_iter().chain(over).min()
     }
 
     /// Events the wheel can hold without any allocation growing.
@@ -535,100 +485,11 @@ impl<E> Wheel<E> {
     }
 }
 
-/// The sharded-wheel backend: independent wheels merged at pop by exact
-/// `(time, seq)` argmin over cached per-shard heads.
-#[derive(Debug, Clone)]
-struct Sharded<E> {
-    wheels: Vec<Wheel<E>>,
-    /// `heads[i]` is exactly `wheels[i].peek_key()` at all times: pushes
-    /// min-update it in O(1), pops recompute the popped shard's entry.
-    heads: Vec<Option<(SimTime, u64)>>,
-    shard_of: fn(&E) -> usize,
-    /// Conservative lookahead for a future multi-core driver: cross-shard
-    /// events always land at least this far ahead of the sender's clock
-    /// (the minimum interconnect link latency). Purely descriptive today.
-    lookahead: Duration,
-}
-
-/// Default shard extractor: everything on shard 0.
-fn shard_zero<E>(_: &E) -> usize {
-    0
-}
-
-impl<E> Sharded<E> {
-    fn new(shards: usize, capacity: usize) -> Self {
-        assert!(shards >= 1, "sharded wheel needs at least one shard");
-        let per = capacity.div_ceil(shards);
-        // Slot arenas split the capacity hint, but every shard keeps the
-        // full bucket count: shards see the same time range as a single
-        // wheel, so a narrower horizon would only push events into the
-        // overflow heap without saving meaningful memory (buckets are two
-        // u32s each).
-        let nbuckets = nbuckets_for(capacity);
-        Sharded {
-            wheels: (0..shards)
-                .map(|_| Wheel::with_buckets(nbuckets, per))
-                .collect(),
-            heads: vec![None; shards],
-            shard_of: shard_zero::<E>,
-            lookahead: Duration::ZERO,
-        }
-    }
-
-    fn push(&mut self, ev: Scheduled<E>) {
-        // One shard needs no merge bookkeeping: the wheel IS the queue.
-        if self.wheels.len() == 1 {
-            self.wheels[0].push(ev);
-            return;
-        }
-        let i = (self.shard_of)(&ev.payload) % self.wheels.len();
-        let key = (ev.time, ev.seq);
-        self.wheels[i].push(ev);
-        if self.heads[i].is_none_or(|h| key < h) {
-            self.heads[i] = Some(key);
-        }
-    }
-
-    fn pop(&mut self) -> Option<Scheduled<E>> {
-        if self.wheels.len() == 1 {
-            return self.wheels[0].pop();
-        }
-        let mut best: Option<(usize, (SimTime, u64))> = None;
-        for (i, head) in self.heads.iter().enumerate() {
-            if let Some(k) = *head {
-                if best.is_none_or(|(_, bk)| k < bk) {
-                    best = Some((i, k));
-                }
-            }
-        }
-        let (i, _) = best?;
-        let ev = self.wheels[i].pop().expect("cached head exists");
-        self.heads[i] = self.wheels[i].peek_key();
-        Some(ev)
-    }
-
-    fn peek_time(&self) -> Option<SimTime> {
-        if self.wheels.len() == 1 {
-            return self.wheels[0].peek_time();
-        }
-        self.heads.iter().flatten().min().map(|&(t, _)| t)
-    }
-
-    fn len(&self) -> usize {
-        self.wheels.iter().map(Wheel::len).sum()
-    }
-
-    fn capacity(&self) -> usize {
-        self.wheels.iter().map(Wheel::capacity).sum()
-    }
-}
-
 /// The scheduler backing an [`EventQueue`].
 #[derive(Debug, Clone)]
 enum Backend<E> {
     Wheel(Wheel<E>),
     Heap(BinaryHeap<Scheduled<E>>),
-    Sharded(Sharded<E>),
 }
 
 /// A discrete-event queue ordered by simulated time.
@@ -706,16 +567,8 @@ impl<E> EventQueue<E> {
     /// [`EventQueue::with_capacity`] on an explicit backend.
     pub fn with_backend_capacity(backend: QueueBackend, capacity: usize) -> Self {
         let backend = match backend {
-            QueueBackend::CalendarWheel => {
-                let nbuckets = nbuckets_for(capacity);
-                let mut wheel = Wheel::with_buckets(nbuckets, capacity);
-                wheel.overflow.reserve(capacity);
-                Backend::Wheel(wheel)
-            }
+            QueueBackend::CalendarWheel => Backend::Wheel(Wheel::with_capacity(capacity)),
             QueueBackend::BinaryHeap => Backend::Heap(BinaryHeap::with_capacity(capacity)),
-            QueueBackend::ShardedWheel { shards } => {
-                Backend::Sharded(Sharded::new(shards, capacity))
-            }
         };
         EventQueue {
             backend,
@@ -730,53 +583,6 @@ impl<E> EventQueue<E> {
         match &self.backend {
             Backend::Wheel(_) => QueueBackend::CalendarWheel,
             Backend::Heap(_) => QueueBackend::BinaryHeap,
-            Backend::Sharded(s) => QueueBackend::ShardedWheel {
-                shards: s.wheels.len(),
-            },
-        }
-    }
-
-    /// Number of shard partitions (1 on the unsharded backends).
-    pub fn shards(&self) -> usize {
-        match &self.backend {
-            Backend::Sharded(s) => s.wheels.len(),
-            _ => 1,
-        }
-    }
-
-    /// Sets the shard key function on the sharded backend (events map to
-    /// shard `f(&payload) % shards`). A no-op on other backends. Shard
-    /// placement never affects the pop order — sequence numbers are
-    /// global and the cross-shard merge is an exact `(time, seq)` argmin
-    /// — but a placement-coherent key is what would let a future
-    /// multi-core driver run shards in parallel.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the queue already holds events (their placement would
-    /// be inconsistent with the new key).
-    pub fn set_shard_fn(&mut self, f: fn(&E) -> usize) {
-        let empty = self.is_empty();
-        if let Backend::Sharded(s) = &mut self.backend {
-            assert!(empty, "shard key must be set while the queue is empty");
-            s.shard_of = f;
-        }
-    }
-
-    /// Records the conservative lookahead bound on the sharded backend
-    /// (the minimum interconnect link latency; see the module docs). A
-    /// no-op on other backends.
-    pub fn set_lookahead(&mut self, lookahead: Duration) {
-        if let Backend::Sharded(s) = &mut self.backend {
-            s.lookahead = lookahead;
-        }
-    }
-
-    /// The sharded backend's lookahead bound, if any.
-    pub fn lookahead(&self) -> Option<Duration> {
-        match &self.backend {
-            Backend::Sharded(s) => Some(s.lookahead),
-            _ => None,
         }
     }
 
@@ -786,7 +592,6 @@ impl<E> EventQueue<E> {
         match &self.backend {
             Backend::Wheel(w) => w.capacity(),
             Backend::Heap(h) => h.capacity(),
-            Backend::Sharded(s) => s.capacity(),
         }
     }
 
@@ -810,7 +615,6 @@ impl<E> EventQueue<E> {
         match &mut self.backend {
             Backend::Wheel(w) => w.push(ev),
             Backend::Heap(h) => h.push(ev),
-            Backend::Sharded(s) => s.push(ev),
         }
     }
 
@@ -841,7 +645,6 @@ impl<E> EventQueue<E> {
         let ev = match &mut self.backend {
             Backend::Wheel(w) => w.pop()?,
             Backend::Heap(h) => h.pop()?,
-            Backend::Sharded(s) => s.pop()?,
         };
         self.popped += 1;
         self.last_popped = ev.time;
@@ -879,7 +682,6 @@ impl<E> EventQueue<E> {
         match &self.backend {
             Backend::Wheel(w) => w.peek_time(),
             Backend::Heap(h) => h.peek().map(|s| s.time),
-            Backend::Sharded(s) => s.peek_time(),
         }
     }
 
@@ -888,7 +690,6 @@ impl<E> EventQueue<E> {
         match &self.backend {
             Backend::Wheel(w) => w.len(),
             Backend::Heap(h) => h.len(),
-            Backend::Sharded(s) => s.len(),
         }
     }
 
@@ -921,7 +722,7 @@ impl<E: Clone> EventQueue<E> {
 
     /// Restores a snapshot into this (empty, freshly configured) queue.
     ///
-    /// Call after `with_backend_capacity`/`set_shard_fn`/`set_lookahead`:
+    /// Call after `with_backend_capacity`:
     /// the wheel, freelist, and pending-run structures are rebuilt from
     /// scratch by ordinary pushes, so a restored wheel is bit-equivalent
     /// to one that reached this state live. Pending events are assigned
@@ -971,29 +772,12 @@ mod tests {
     use crate::rng::SplitMix64;
     use proptest::prelude::*;
 
-    const BACKENDS: [QueueBackend; 4] = [
-        QueueBackend::CalendarWheel,
-        QueueBackend::BinaryHeap,
-        QueueBackend::ShardedWheel { shards: 1 },
-        QueueBackend::ShardedWheel { shards: 4 },
-    ];
-
-    /// Scatter u64 payloads over shards so multi-shard merges are
-    /// actually exercised in the generic tests.
-    fn shard_by_value(e: &u64) -> usize {
-        (*e % 7) as usize
-    }
-
-    fn queue_u64(backend: QueueBackend) -> EventQueue<u64> {
-        let mut q = EventQueue::with_backend(backend);
-        q.set_shard_fn(shard_by_value);
-        q
-    }
+    const BACKENDS: [QueueBackend; 2] = [QueueBackend::CalendarWheel, QueueBackend::BinaryHeap];
 
     #[test]
     fn pops_in_time_order() {
         for backend in BACKENDS {
-            let mut q = queue_u64(backend);
+            let mut q = EventQueue::<u64>::with_backend(backend);
             for &t in &[50u64, 10, 30, 20, 40] {
                 q.push(SimTime::from_nanos(t), t);
             }
@@ -1006,7 +790,6 @@ mod tests {
     fn ties_break_fifo() {
         for backend in BACKENDS {
             let mut q = EventQueue::with_backend(backend);
-            q.set_shard_fn(|e: &u32| (*e % 3) as usize);
             for i in 0..100 {
                 q.push(SimTime::from_nanos(7), i);
             }
@@ -1152,8 +935,8 @@ mod tests {
     #[test]
     fn push_many_matches_individual_pushes() {
         for backend in BACKENDS {
-            let mut a = queue_u64(backend);
-            let mut b = queue_u64(backend);
+            let mut a = EventQueue::<u64>::with_backend(backend);
+            let mut b = EventQueue::<u64>::with_backend(backend);
             let batch: Vec<(SimTime, u64)> = (0..50)
                 .map(|i| (SimTime::from_nanos((i * 37) % 13), i))
                 .collect();
@@ -1165,33 +948,6 @@ mod tests {
             let vb: Vec<_> = b.drain().collect();
             assert_eq!(va, vb, "{backend:?}");
         }
-    }
-
-    #[test]
-    fn sharded_reports_shards_and_lookahead() {
-        let mut q: EventQueue<u64> =
-            EventQueue::with_backend(QueueBackend::ShardedWheel { shards: 4 });
-        assert_eq!(q.shards(), 4);
-        assert_eq!(q.lookahead(), Some(Duration::ZERO));
-        q.set_lookahead(Duration::from_micros(10));
-        assert_eq!(q.lookahead(), Some(Duration::from_micros(10)));
-        assert_eq!(
-            q.backend(),
-            QueueBackend::ShardedWheel { shards: 4 },
-            "backend round-trips shard count"
-        );
-        let plain: EventQueue<u64> = EventQueue::new();
-        assert_eq!(plain.shards(), 1);
-        assert_eq!(plain.lookahead(), None);
-    }
-
-    #[test]
-    #[should_panic(expected = "while the queue is empty")]
-    fn shard_fn_rejected_once_events_exist() {
-        let mut q: EventQueue<u64> =
-            EventQueue::with_backend(QueueBackend::ShardedWheel { shards: 2 });
-        q.push(SimTime::from_nanos(1), 1);
-        q.set_shard_fn(shard_by_value);
     }
 
     // ----- Wheel edge cases -------------------------------------------
@@ -1288,7 +1044,10 @@ mod tests {
     /// Drives every backend pair with the same operation sequence and
     /// asserts identical observable behavior at every step.
     fn differential(ops: &[(u8, u64)]) {
-        let mut queues: Vec<EventQueue<u64>> = BACKENDS.iter().map(|&b| queue_u64(b)).collect();
+        let mut queues: Vec<EventQueue<u64>> = BACKENDS
+            .iter()
+            .map(|&b| EventQueue::<u64>::with_backend(b))
+            .collect();
         let mut payload = 0u64;
         for &(op, t) in ops {
             if op % 3 != 0 {
@@ -1349,7 +1108,7 @@ mod tests {
     fn snapshot_differential(ops: &[(u8, u64)], cut: usize) {
         for src in BACKENDS {
             // Uninterrupted reference on the source backend.
-            let mut reference = queue_u64(src);
+            let mut reference = EventQueue::<u64>::with_backend(src);
             let mut ref_payload = 0u64;
             let mut ref_pops = Vec::new();
             apply_ops(&mut reference, ops, &mut ref_payload, &mut ref_pops);
@@ -1357,7 +1116,7 @@ mod tests {
 
             // Interrupted run: pause at `cut`, snapshot, restore into
             // each destination backend (including cross-backend moves).
-            let mut base = queue_u64(src);
+            let mut base = EventQueue::<u64>::with_backend(src);
             let mut base_payload = 0u64;
             let mut base_pops = Vec::new();
             apply_ops(&mut base, &ops[..cut], &mut base_payload, &mut base_pops);
@@ -1365,7 +1124,7 @@ mod tests {
             assert_eq!(snap.events.len(), base.len(), "snapshot is non-destructive");
 
             for dst in BACKENDS {
-                let mut restored = queue_u64(dst);
+                let mut restored = EventQueue::<u64>::with_backend(dst);
                 restored.load_snapshot(snap.clone());
                 assert_eq!(restored.len(), base.len());
                 assert_eq!(restored.popped(), base.popped());
@@ -1450,7 +1209,7 @@ mod tests {
         #[test]
         fn prop_pop_order_is_monotone(times in proptest::collection::vec(0u64..1_000_000, 1..200)) {
             for backend in BACKENDS {
-                let mut q = queue_u64(backend);
+                let mut q = EventQueue::<u64>::with_backend(backend);
                 for &t in &times {
                     q.push(SimTime::from_nanos(t), t);
                 }
@@ -1467,7 +1226,6 @@ mod tests {
         fn prop_conservation(times in proptest::collection::vec(0u64..1_000, 0..100)) {
             for backend in BACKENDS {
                 let mut q = EventQueue::with_backend(backend);
-                q.set_shard_fn(|e: &usize| e % 5);
                 for (i, &t) in times.iter().enumerate() {
                     q.push(SimTime::from_nanos(t), i);
                 }
@@ -1478,10 +1236,6 @@ mod tests {
             }
         }
 
-        /// Differential: random interleaved push/pop workloads produce
-        /// identical pop sequences (order, FIFO ties, and conservation)
-        /// on every backend — the arena wheel and both shard counts
-        /// against the reference heap.
         /// Snapshot differential: a random workload paused at a random
         /// boundary, snapshotted, and restored into every backend (all
         /// source × destination pairs) finishes byte-identical to the
@@ -1504,6 +1258,9 @@ mod tests {
             snapshot_differential(&ops, cut);
         }
 
+        /// Differential: random interleaved push/pop workloads produce
+        /// identical pop sequences (order, FIFO ties, and conservation)
+        /// on the arena wheel and the reference heap.
         #[test]
         fn prop_wheel_matches_heap(seed in 0u64..400) {
             let mut rng = SplitMix64::new(seed);

@@ -168,6 +168,25 @@ impl<'a> StateReader<'a> {
             .collect()
     }
 
+    /// Consumes a list of exactly `N` values written by
+    /// [`StateWriter::list`].
+    pub fn array<T: FromStr, const N: usize>(&mut self, key: &str) -> Result<[T; N], StateError> {
+        self.nums(key)?
+            .try_into()
+            .map_err(|_| StateError(format!("list {key:?} needs {N} values")))
+    }
+
+    /// Consumes a flag written as `key 0` or `key 1`.
+    pub fn flag(&mut self, key: &str) -> Result<bool, StateError> {
+        match self.field(key)? {
+            "0" => Ok(false),
+            "1" => Ok(true),
+            raw => Err(StateError(format!(
+                "flag {key:?} must be 0 or 1, got {raw:?}"
+            ))),
+        }
+    }
+
     /// True when every line has been consumed.
     pub fn done(&mut self) -> bool {
         self.lines.clone().next().is_none()
