@@ -653,6 +653,18 @@ fn main() -> ExitCode {
         let at = simcore::SimTime::ZERO + opts.at.expect("validated during parse");
         let mut run = sim.start(&plan);
         run.run_until(at);
+        if run.is_done() && at > run.paused_at() {
+            eprintln!(
+                "--at {:.3} s is beyond the end of the run: {} on {} x{} finishes at {:.3} s; \
+                 no checkpoint written",
+                at.as_secs_f64(),
+                opts.task.name(),
+                opts.arch,
+                opts.disks,
+                run.paused_at().as_secs_f64(),
+            );
+            return ExitCode::FAILURE;
+        }
         let path = opts.out.as_deref().expect("validated during parse");
         return match howsim::checkpoint::write_file(
             std::path::Path::new(path),

@@ -33,12 +33,10 @@ use std::path::{Path, PathBuf};
 use std::sync::{Mutex, OnceLock};
 
 use arch::Architecture;
-use simcore::SimTime;
 use tasks::{plan_task, TaskKind, TaskPlan};
 
-use crate::checkpoint;
 use crate::codec::{self, read_sealed, write_sealed};
-use crate::exec::{ExecRun, Simulation};
+use crate::exec::Simulation;
 use crate::faults::{FaultPlan, RecoveryPolicy};
 use crate::manifest::fnv1a64;
 use crate::mqexec::LoadReport;
@@ -509,51 +507,6 @@ pub fn insert_warm_workload(
     insert(&key, report);
 }
 
-/// Stores a paused run in the `.ckpt` tier of the configured on-disk
-/// cache directory (a no-op returning `None` when the cache is off or
-/// memory-only — checkpoints have no in-memory tier because they borrow
-/// their plan). Returns the entry path on success.
-pub fn store_checkpoint(
-    sim: &Simulation,
-    plan: &TaskPlan,
-    at: SimTime,
-    run: &ExecRun<'_>,
-) -> Option<PathBuf> {
-    if !enabled() {
-        return None;
-    }
-    let dir = disk_dir()?;
-    // Best effort, like the report tiers: an unwritable directory degrades
-    // to re-simulating the prefix rather than failing the run.
-    checkpoint::store(&dir, sim, plan, at, run).ok()
-}
-
-/// Looks up the `.ckpt` tier for a run paused at `at` and rebuilds it
-/// under `sim`'s queue backend. Counts a disk hit or a miss; corrupt or
-/// mismatched entries are clean misses.
-pub fn probe_checkpoint<'p>(
-    sim: &Simulation,
-    plan: &'p TaskPlan,
-    at: SimTime,
-) -> Option<ExecRun<'p>> {
-    if !enabled() {
-        return None;
-    }
-    let dir = disk_dir()?;
-    match checkpoint::probe(&dir, sim, plan, at) {
-        Some(run) => {
-            let mut st = lock();
-            st.stats.hits += 1;
-            st.stats.disk_hits += 1;
-            Some(run)
-        }
-        None => {
-            lock().stats.misses += 1;
-            None
-        }
-    }
-}
-
 /// Runs a multi-query workload through the cache. The key covers the
 /// workload, admission, and deadline specs on top of the simulation
 /// config, and cached reports round-trip bit-exactly (all-integer
@@ -910,44 +863,6 @@ mod tests {
         assert_eq!((s.hits, s.misses), (1, 2), "duplicate served from batch");
         let again = run_workloads(&points);
         assert_eq!(again, reports);
-    }
-
-    #[test]
-    fn checkpoint_tier_stores_and_resumes_paused_runs() {
-        let _guard = fresh_cache();
-        let dir = std::env::temp_dir().join(format!("howsim-ckpt-tier-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        let arch = Architecture::active_disks(4);
-        let plan = plan_task(TaskKind::Select, &arch);
-        let sim = Simulation::new(arch).with_seed(5);
-        let scratch = sim.run_plan(&plan);
-        let at = simcore::SimTime::ZERO
-            + simcore::Duration::from_nanos(scratch.elapsed().as_nanos() / 2);
-        let mut run = sim.start(&plan);
-        run.run_until(at);
-
-        // Memory-only cache has no checkpoint tier: store is a no-op.
-        assert!(store_checkpoint(&sim, &plan, at, &run).is_none());
-        assert!(probe_checkpoint(&sim, &plan, at).is_none());
-        assert_eq!(stats(), CacheStats::default());
-
-        set_disk_dir(Some(dir.clone()));
-        let path = store_checkpoint(&sim, &plan, at, &run).expect("ckpt stored");
-        assert!(path.to_string_lossy().ends_with(".ckpt"));
-        // A different backend resumes the entry to the scratch report.
-        let resumer = sim
-            .clone()
-            .with_queue_backend(simcore::QueueBackend::BinaryHeap);
-        let restored = probe_checkpoint(&resumer, &plan, at).expect("ckpt hit");
-        assert_eq!(restored.finish(), scratch);
-        let s = stats();
-        assert_eq!((s.hits, s.disk_hits, s.misses), (1, 1, 0));
-        // A different pause boundary is a miss.
-        assert!(probe_checkpoint(&sim, &plan, at + simcore::Duration::from_nanos(1)).is_none());
-        assert_eq!(stats().misses, 1);
-
-        set_disk_dir(None);
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -1,37 +1,37 @@
-//! On-disk checkpoint tier (`.ckpt`): paused [`ExecRun`] state,
-//! addressed and integrity-checked like the result cache
-//! ([`crate::cache`]).
+//! Checkpoint files (`.ckpt`): paused [`ExecRun`] state, integrity-checked
+//! like the result cache ([`crate::cache`]).
 //!
-//! A checkpoint captures a run at an exact event boundary — machine
-//! state, fault runtime, finished-phase reports, and the live event
-//! queue — so a later process can resume it (under *any* queue
-//! backend) instead of re-simulating the prefix. Files carry the armor
-//! every cache tier shares ([`crate::codec`]): a schema line, an FNV-1a
-//! checksum over the payload, and the full key material stored
-//! verbatim, so a truncated, bit-flipped, or mismatched entry is a clean
-//! miss, never a panic. Publication is atomic (write to a temp file,
-//! then rename).
+//! A checkpoint captures a run at an exact event boundary — the driver's
+//! machine state, fault runtime, query progress and finished-phase
+//! reports, and the live event queue — so a later process can resume it
+//! (under *any* queue backend) instead of re-simulating the prefix.
+//! Files carry the armor every cache tier shares ([`crate::codec`]): a
+//! schema line, an FNV-1a checksum over the payload, and the full key
+//! material stored verbatim, so a truncated, bit-flipped, or mismatched
+//! file is a clean miss, never a panic. Publication is atomic (write to a
+//! temp file, then rename).
 //!
-//! The checkpoint key deliberately excludes the queue backend: restored
-//! queue state is renumbered into whatever backend the resuming
-//! simulation configures, and the continuation's report is
-//! field-identical either way. Everything else the paused state depends
-//! on — architecture, plan, degraded disks, seed, fault plan, recovery
-//! policy, and the pause boundary — is in the key, so two fault
-//! scenarios forked from one prefix never alias.
+//! The key deliberately excludes the queue backend: restored queue state
+//! is renumbered into whatever backend the resuming simulation
+//! configures, and the continuation's report is field-identical either
+//! way. Everything else the paused state depends on — architecture,
+//! plan, degraded disks, seed, fault plan, recovery policy, and the
+//! pause boundary — is in the key, so two fault scenarios forked from
+//! one prefix never alias.
 
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use simcore::{SimTime, StateReader, StateWriter};
 use tasks::plan::TaskPlan;
 
 use crate::codec::{read_sealed, write_sealed};
 use crate::exec::{ExecRun, Simulation};
-use crate::manifest::fnv1a64;
 
-/// Checkpoint schema identifier, bumped on breaking layout changes.
-pub const SCHEMA: &str = "howsim-ckpt/v1";
+/// Checkpoint schema identifier, bumped on breaking layout changes (v2:
+/// the state of the one event driver, whose queue and counters span the
+/// whole run rather than one phase; v1 files read as misses).
+pub const SCHEMA: &str = "howsim-ckpt/v2";
 
 /// The configuration part of a checkpoint key: every input the paused
 /// state depends on except the pause boundary. The queue backend is
@@ -51,28 +51,6 @@ pub fn config_key(sim: &Simulation, plan: &TaskPlan) -> String {
 /// The full checkpoint key: the configuration plus the pause boundary.
 pub fn checkpoint_key(sim: &Simulation, plan: &TaskPlan, at: SimTime) -> String {
     format!("{} | at={}", config_key(sim, plan), at.as_nanos())
-}
-
-/// The on-disk path of the checkpoint for `key` inside `dir`.
-pub fn entry_path(dir: &Path, key: &str) -> PathBuf {
-    dir.join(format!("{:016x}.ckpt", fnv1a64(key.as_bytes())))
-}
-
-/// Reads the checkpoint at `path` whose stored key `accept` approves.
-/// Codec errors (a structurally valid file whose body does not describe
-/// `sim`/`plan`) are a clean miss.
-fn load<'p>(
-    path: &Path,
-    sim: &Simulation,
-    plan: &'p TaskPlan,
-    accept: impl FnOnce(&str) -> bool,
-) -> Option<ExecRun<'p>> {
-    read_sealed(path, SCHEMA, accept, |body| {
-        let mut r = StateReader::new(body);
-        let run = ExecRun::load_state(sim, plan, &mut r).ok()?;
-        r.expect_done().ok()?;
-        Some(run)
-    })
 }
 
 /// Atomically writes the checkpoint file for a paused run to `path`.
@@ -95,45 +73,21 @@ pub fn write_file(
 /// Reads a checkpoint file written by [`write_file`], verifying it was
 /// saved under this `sim`/`plan` configuration (the pause boundary in
 /// the stored key is accepted as-is: the resumer does not need to know
-/// it, the state body carries the clock). Corrupt or mismatched files
-/// are a clean miss.
+/// it, the state body carries the clock). Corrupt or mismatched files,
+/// including codec errors in a structurally valid file, are a clean
+/// miss.
 pub fn read_file<'p>(path: &Path, sim: &Simulation, plan: &'p TaskPlan) -> Option<ExecRun<'p>> {
     let config = config_key(sim, plan);
-    load(path, sim, plan, |key| {
+    let accept = |key: &str| {
         key.rsplit_once(" | at=")
             .is_some_and(|(stored, at)| stored == config && at.parse::<u64>().is_ok())
+    };
+    read_sealed(path, SCHEMA, accept, |body| {
+        let mut r = StateReader::new(body);
+        let run = ExecRun::load_state(sim, plan, &mut r).ok()?;
+        r.expect_done().ok()?;
+        Some(run)
     })
-}
-
-/// Stores a paused run in the keyed checkpoint tier under `dir`;
-/// returns the entry path.
-///
-/// # Panics
-///
-/// Panics if the run is profiled (see [`ExecRun::save_state`]).
-pub fn store(
-    dir: &Path,
-    sim: &Simulation,
-    plan: &TaskPlan,
-    at: SimTime,
-    run: &ExecRun<'_>,
-) -> io::Result<PathBuf> {
-    let path = entry_path(dir, &checkpoint_key(sim, plan, at));
-    write_file(&path, sim, plan, at, run)?;
-    Ok(path)
-}
-
-/// Looks up the checkpoint for `(sim, plan, at)` in `dir` and rebuilds
-/// the paused run under `sim`'s queue backend. Missing, truncated,
-/// bit-flipped, or colliding entries are a clean miss.
-pub fn probe<'p>(
-    dir: &Path,
-    sim: &Simulation,
-    plan: &'p TaskPlan,
-    at: SimTime,
-) -> Option<ExecRun<'p>> {
-    let key = checkpoint_key(sim, plan, at);
-    load(&entry_path(dir, &key), sim, plan, |stored| stored == key)
 }
 
 #[cfg(test)]
@@ -143,6 +97,7 @@ mod tests {
     use arch::Architecture;
     use simcore::QueueBackend;
     use std::fs;
+    use std::path::PathBuf;
     use tasks::{plan_task, TaskKind};
 
     fn tmp_dir(tag: &str) -> PathBuf {
@@ -199,63 +154,7 @@ mod tests {
         let b = healthy
             .clone()
             .with_fault_plan(FaultPlan::parse_spec("disk:1@1s").unwrap());
-        let ka = checkpoint_key(&a, &plan, at);
-        let kb = checkpoint_key(&b, &plan, at);
-        assert_ne!(ka, kb);
-        let dir = tmp_dir("alias");
-        assert_ne!(entry_path(&dir, &ka), entry_path(&dir, &kb));
-    }
-
-    #[test]
-    fn store_probe_round_trip_resumes_identically_across_backends() {
-        let arch = Architecture::active_disks(4);
-        let plan = plan_task(TaskKind::Select, &arch);
-        let sim = Simulation::new(arch).with_seed(3);
-        let scratch = sim.run_plan(&plan);
-        let at = mid_run_pause(&sim, &plan);
-
-        let mut run = sim.start(&plan);
-        run.run_until(at);
-        let dir = tmp_dir("roundtrip");
-        store(&dir, &sim, &plan, at, &run).expect("store checkpoint");
-
-        for backend in [QueueBackend::CalendarWheel, QueueBackend::BinaryHeap] {
-            let resumer = sim.clone().with_queue_backend(backend);
-            let restored =
-                probe(&dir, &resumer, &plan, at).expect("checkpoint hit under any backend");
-            assert_eq!(restored.finish(), scratch, "backend {backend:?}");
-        }
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn corrupt_checkpoints_are_clean_misses() {
-        let arch = Architecture::active_disks(2);
-        let plan = plan_task(TaskKind::Aggregate, &arch);
-        let sim = Simulation::new(arch);
-        let at = mid_run_pause(&sim, &plan);
-        let mut run = sim.start(&plan);
-        run.run_until(at);
-        let dir = tmp_dir("corrupt");
-        let path = store(&dir, &sim, &plan, at, &run).expect("store checkpoint");
-        assert!(probe(&dir, &sim, &plan, at).is_some(), "sanity: intact hit");
-
-        // Truncation: lop off the tail.
-        let intact = fs::read_to_string(&path).expect("read entry");
-        fs::write(&path, &intact[..intact.len() / 2]).expect("truncate");
-        assert!(probe(&dir, &sim, &plan, at).is_none(), "truncated → miss");
-
-        // Single bit flip in the body.
-        let mut flipped = intact.clone().into_bytes();
-        let ix = flipped.len() - 20;
-        flipped[ix] ^= 0x01;
-        fs::write(&path, flipped).expect("bit flip");
-        assert!(probe(&dir, &sim, &plan, at).is_none(), "bit flip → miss");
-
-        // Wrong schema line.
-        fs::write(&path, intact.replace(SCHEMA, "howsim-ckpt/v0")).expect("schema");
-        assert!(probe(&dir, &sim, &plan, at).is_none(), "bad schema → miss");
-        let _ = fs::remove_dir_all(&dir);
+        assert_ne!(checkpoint_key(&a, &plan, at), checkpoint_key(&b, &plan, at));
     }
 
     #[test]

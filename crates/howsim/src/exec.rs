@@ -1,11 +1,13 @@
-//! The discrete-event executor: runs a task's phase plans on a machine.
+//! The phase executor: the state machine that runs a task's phase plans
+//! on a machine, one work event at a time, and the [`Simulation`] entry
+//! points. The one event loop that drives it lives in [`crate::mqexec`].
 
 use std::collections::{BTreeMap, VecDeque};
 
 use arch::Architecture;
 use simcore::span::{SpanArena, SpanId, SpanKind, FRONT_END_NODE};
 use simcore::state::{StateError, StateReader, StateWriter};
-use simcore::{Duration, EventQueue, QueueBackend, QueueSnapshot, SimTime, SplitMix64};
+use simcore::{Duration, EventQueue, QueueBackend, SimTime, SplitMix64};
 use tasks::plan::{CpuWork, PhasePlan, TaskPlan};
 use tasks::{plan_task, TaskKind};
 
@@ -15,7 +17,8 @@ use crate::faults::{
 };
 use crate::machine::Machine;
 use crate::metrics::{MetricsBuilder, Resource, ResourceUsage, RunMetrics};
-use crate::profile::{PhaseSpans, SpanTrace};
+pub use crate::mqexec::ExecRun;
+use crate::profile::SpanTrace;
 use crate::report::{PhaseReport, Report};
 use crate::trace::{NodeId, Trace, TraceEvent, TraceKind};
 use crate::BATCH_BYTES;
@@ -53,10 +56,9 @@ pub struct Simulation {
 /// span that completes when the event fires ([`SpanId::NONE`] unless the
 /// run is profiled) — the causal parent of whatever the handler does
 /// next. The `query` field attributes every work event to the query it
-/// belongs to: single-query runs use lane 0, the multi-query executor
-/// ([`crate::mqexec`]) interleaves many lanes on one queue. Payload
-/// fields never affect the `(time, seq)` pop order, so threading the
-/// query id leaves single-query reports byte-identical.
+/// belongs to: solo runs use lane 0, workloads interleave many lanes on
+/// one queue ([`crate::mqexec`]). Payload fields never affect the
+/// `(time, seq)` pop order.
 #[derive(Debug, Clone)]
 pub(crate) enum Ev {
     /// A batch finished reading from disk at a node.
@@ -97,9 +99,8 @@ pub(crate) enum Ev {
     /// The failure of `node` is detected (its request timeouts expired):
     /// recovery of its remaining partition begins for `query`.
     RecoveryKick { node: usize, query: u32 },
-    /// Control events of the multi-query executor (never seen by the
-    /// single-query phase loop): a query arrives at the admission
-    /// controller.
+    /// Control events of the driver (never seen by [`handle_ev`]): a
+    /// query arrives at the admission controller.
     Admit { query: u32 },
     /// A query's phase barrier completed; start its next phase (or
     /// finish). Tagged with the attempt so stale barriers of a cancelled
@@ -131,31 +132,26 @@ impl Ev {
     }
 }
 
-/// Push sink over the event queue that optionally counts each query's
-/// outstanding work events (the multi-query executor's phase-completion
-/// signal). The single-query path passes `counts: None` — one `Option`
-/// check per push, the same off-cost pattern as tracing and metrics.
+/// Push sink over the event queue for one query's work events, counting
+/// them as outstanding (the driver's phase-completion signal).
 pub(crate) struct EvQ<'a> {
     pub(crate) q: &'a mut EventQueue<Ev>,
-    pub(crate) counts: Option<&'a mut Vec<u64>>,
+    pub(crate) outstanding: &'a mut u64,
 }
 
 impl EvQ<'_> {
     #[inline]
     pub(crate) fn push(&mut self, t: SimTime, ev: Ev) {
-        if let Some(c) = self.counts.as_deref_mut() {
-            if let Some(q) = ev.work_query() {
-                c[q as usize] += 1;
-            }
-        }
+        debug_assert!(ev.work_query().is_some(), "only work events are counted");
+        *self.outstanding += 1;
         self.q.push(t, ev);
     }
 }
 
 /// Span-recording runtime of one profiled run: the arena plus the
 /// last-ending span of the current phase (the critical-path anchor).
-/// The multi-query executor swaps `last`/`last_end` per query around
-/// each event so every query keeps its own anchor chain.
+/// The driver swaps `last`/`last_end` per query around each event so
+/// every query keeps its own anchor chain.
 #[derive(Clone)]
 pub(crate) struct SpanRt {
     pub(crate) arena: SpanArena,
@@ -164,7 +160,6 @@ pub(crate) struct SpanRt {
     /// order follows the (backend-invariant) event pop order.
     pub(crate) last: SpanId,
     pub(crate) last_end: SimTime,
-    pub(crate) phases: Vec<PhaseSpans>,
 }
 
 impl SpanRt {
@@ -173,7 +168,6 @@ impl SpanRt {
             arena: SpanArena::enabled(),
             last: SpanId::NONE,
             last_end: SimTime::ZERO,
-            phases: Vec::new(),
         }
     }
 
@@ -343,10 +337,10 @@ impl NodeState {
 
 /// Fault-injection runtime: persists across phases of one run, applying
 /// scheduled faults as simulated time reaches them and steering recovery.
-/// The multi-query executor keeps one *global* `FaultRt` for the shared
-/// fault schedule and machine effects, plus one empty-schedule `FaultRt`
-/// per query carrying that query's recovery bookkeeping (pool, detection
-/// view, round-robin cursor).
+/// The driver keeps one *global* `FaultRt` for the shared fault schedule
+/// and machine effects; under the clock detection rule each query also
+/// gets an empty-schedule `FaultRt` carrying its own recovery bookkeeping
+/// (pool, detection view, round-robin cursor).
 #[derive(Clone)]
 pub(crate) struct FaultRt {
     /// Scheduled faults in chronological order (absolute offsets).
@@ -394,7 +388,7 @@ impl FaultRt {
 
     /// Applies machine-level effects of one fault at its due time `t`.
     /// Returns the failed node index for fail-stops so the caller can do
-    /// the executor-side bookkeeping (which differs at phase start vs
+    /// the executor-side bookkeeping (which differs at a phase barrier vs
     /// mid-phase).
     pub(crate) fn apply_machine(
         &mut self,
@@ -433,23 +427,6 @@ impl FaultRt {
         }
     }
 
-    /// Applies every fault due at or before `start` (the phase boundary is
-    /// a synchronization point, so failures surfacing in the barrier gap
-    /// are already *detected* when the next phase begins).
-    fn apply_phase_start(&mut self, m: &mut Machine, start: SimTime) {
-        while self.pending() {
-            let ev = self.events[self.next];
-            let t = SimTime::ZERO + ev.at;
-            if t > start {
-                break;
-            }
-            self.next += 1;
-            if let Some(node) = self.apply_machine(m, ev, t) {
-                self.detected[node] = true;
-            }
-        }
-    }
-
     /// Reassigns every pooled batch whose origin's failure is detected,
     /// round-robin over survivors. Returns the indices of survivors that
     /// received work (empty when nothing was assignable). Sets the abort
@@ -479,100 +456,12 @@ impl FaultRt {
         }
         touched
     }
-
-    /// Applies every fault due at or before `now` mid-phase. A fail-stop
-    /// pools the node's unissued work and (under a recovering policy)
-    /// schedules its detection; in-flight work is lost lazily as its
-    /// events pop.
-    fn apply_due(
-        &mut self,
-        m: &mut Machine,
-        q: &mut EventQueue<Ev>,
-        nodes: &mut [NodeState],
-        now: SimTime,
-    ) {
-        while self.pending() {
-            let ev = self.events[self.next];
-            let t = SimTime::ZERO + ev.at;
-            if t > now {
-                break;
-            }
-            self.next += 1;
-            if let Some(node) = self.apply_machine(m, ev, t) {
-                let st = &mut nodes[node];
-                st.dead = true;
-                // Its unissued own partition must be re-read elsewhere.
-                for j in st.issued..st.own_batches {
-                    let bytes = if j == st.own_batches - 1 {
-                        st.last_batch_bytes
-                    } else {
-                        BATCH_BYTES
-                    };
-                    self.pool.push((node, bytes));
-                }
-                st.batches_total = st.issued;
-                st.own_batches = st.issued;
-                // Recovery work it had been assigned goes back too.
-                while let Some(bytes) = st.recovery_pending.pop_front() {
-                    self.pool.push((node, bytes));
-                }
-                if self.policy != RecoveryPolicy::FailStop {
-                    q.push(
-                        (t + DETECT_TIMEOUT).max(now),
-                        Ev::RecoveryKick { node, query: 0 },
-                    );
-                }
-            }
-        }
-    }
 }
 
 /// The first surviving node after `from` (wrapping), if any.
 fn next_healthy(nodes: &[NodeState], from: usize) -> Option<usize> {
     let n = nodes.len();
     (1..=n).map(|k| (from + k) % n).find(|&i| !nodes[i].dead)
-}
-
-/// Tops survivors' pipelines back up to the read window after recovery
-/// work lands on them (their own pipeline may already have drained, in
-/// which case no `BatchProcessed` event would ever re-prime them).
-#[allow(clippy::too_many_arguments)]
-fn refill(
-    m: &mut Machine,
-    q: &mut EvQ,
-    nodes: &mut [NodeState],
-    touched: &[usize],
-    now: SimTime,
-    window: u64,
-    region: usize,
-    phase_writes: bool,
-    policy: RecoveryPolicy,
-    spans: &mut Option<&mut SpanRt>,
-    qid: u32,
-) {
-    for &node in touched {
-        while !nodes[node].dead
-            && nodes[node].issued < nodes[node].batches_total
-            && nodes[node].issued.saturating_sub(nodes[node].processed) < window
-        {
-            // Recovery-driven refills are rooted at the detection event,
-            // not a prior span; the walker surfaces any gap they leave as
-            // "unattributed".
-            issue_read(
-                m,
-                q,
-                nodes,
-                node,
-                now,
-                region,
-                phase_writes,
-                policy,
-                spans,
-                SpanId::NONE,
-                qid,
-            );
-        }
-    }
 }
 
 impl Simulation {
@@ -792,9 +681,7 @@ impl Simulation {
         mut metrics: Option<&mut MetricsBuilder>,
         profiled: bool,
     ) -> (Report, Option<SpanTrace>) {
-        let mut run = ExecRun::start_inner(self, plan, profiled);
-        run.step(None, &mut trace, &mut metrics);
-        run.into_parts()
+        ExecRun::start_inner(self, plan, profiled).complete(&mut trace, &mut metrics)
     }
 }
 
@@ -819,8 +706,8 @@ fn record(
 }
 
 /// Snapshot of cumulative machine counters, for per-phase deltas.
-#[derive(Clone)]
-struct PhaseSnapshot {
+#[derive(Clone, Default)]
+pub(crate) struct PhaseSnapshot {
     cpu_by_tag: BTreeMap<&'static str, Duration>,
     cpu_total: Duration,
     disk_total: Duration,
@@ -830,7 +717,7 @@ struct PhaseSnapshot {
 }
 
 impl PhaseSnapshot {
-    fn take(m: &Machine) -> Self {
+    pub(crate) fn take(m: &Machine) -> Self {
         PhaseSnapshot {
             cpu_by_tag: m.cpu_busy_by_tag(),
             cpu_total: m.cpu_busy_total(),
@@ -841,7 +728,7 @@ impl PhaseSnapshot {
         }
     }
 
-    fn delta(
+    pub(crate) fn delta(
         &self,
         after: &PhaseSnapshot,
         name: &'static str,
@@ -1032,658 +919,10 @@ pub(crate) fn init_phase_nodes(
     (nodes, None)
 }
 
-/// Mid-phase executor state of a paused [`ExecRun`]: the live event
-/// queue, per-node progress, and the phase-start counter snapshot.
-#[derive(Clone)]
-struct PhaseRun {
-    /// Precomputed per-batch costs — a pure function of the machine
-    /// configuration and the phase plan, recomputed (never serialized)
-    /// on checkpoint restore.
-    costs: PhaseCosts,
-    q: EventQueue<Ev>,
-    /// An event popped but not yet processed: `run_until` pauses
-    /// *before* processing the first event at or past the limit, and
-    /// the event (already sequenced by its pop) waits here so every
-    /// continuation replays the exact pop order.
-    pending: Option<(SimTime, Ev)>,
-    nodes: Vec<NodeState>,
-    horizon: SimTime,
-    before: PhaseSnapshot,
-}
-
-/// How one phase's event loop ended.
-enum EventsOutcome {
-    /// The time limit struck; the run is paused at an event boundary.
-    Paused,
-    /// The phase completed (queue drained, or the run aborted) at `end`.
-    PhaseDone { end: SimTime, aborted: bool },
-}
-
-/// How starting a phase went.
-enum PhaseStart {
-    /// The phase is live; the mid-phase state is installed.
-    Running,
-    /// The phase ended before its first event (fault abort at or before
-    /// the phase barrier).
-    Aborted { before: PhaseSnapshot, end: SimTime },
-}
-
-/// A pausable, forkable, serializable execution of one plan on one
-/// [`Simulation`]: the copy-on-fork checkpointing engine. Create one
-/// with [`Simulation::start`], advance it with [`run_until`]
-/// (processing every event strictly before the limit), branch what-if
-/// continuations with [`fork`] / [`fork_with_faults`] — each fork
-/// shares the simulated prefix instead of re-running it — and complete
-/// any branch with [`finish`]. Reports from forked continuations are
-/// field-identical to from-scratch runs: both paths drive this same
-/// stepper.
-///
-/// [`run_until`]: ExecRun::run_until
-/// [`fork`]: ExecRun::fork
-/// [`fork_with_faults`]: ExecRun::fork_with_faults
-/// [`finish`]: ExecRun::finish
-///
-/// # Example
-///
-/// ```
-/// use arch::Architecture;
-/// use howsim::Simulation;
-/// use simcore::SimTime;
-/// use tasks::{plan_task, TaskKind};
-///
-/// let sim = Simulation::new(Architecture::active_disks(4));
-/// let plan = plan_task(TaskKind::Select, sim.architecture());
-/// let scratch = sim.run_plan(&plan);
-///
-/// // Pause after the first simulated millisecond, fork, finish both.
-/// let mut prefix = sim.start(&plan);
-/// prefix.run_until(SimTime::from_nanos(1_000_000));
-/// let forked = prefix.fork().finish();
-/// assert_eq!(forked, scratch);
-/// assert_eq!(prefix.finish(), scratch);
-/// ```
-#[derive(Clone)]
-pub struct ExecRun<'p> {
-    sim: Simulation,
-    plan: &'p TaskPlan,
-    machine: Machine,
-    fr: FaultRt,
-    phases: Vec<PhaseReport>,
-    clock: SimTime,
-    events: u64,
-    aborted: bool,
-    phase_ix: usize,
-    cur: Option<PhaseRun>,
-    done: bool,
-    spans: Option<SpanRt>,
-}
-
-impl<'p> ExecRun<'p> {
-    fn start_inner(sim: &Simulation, plan: &'p TaskPlan, profiled: bool) -> Self {
-        plan.validate().expect("invalid task plan");
-        let mut machine = Machine::new(&sim.arch);
-        for &(node, count) in &sim.degraded {
-            machine.degrade_disk(node, count);
-        }
-        let fr = FaultRt::new(&sim.faults, sim.recovery, sim.seed, machine.nodes());
-        ExecRun {
-            sim: sim.clone(),
-            plan,
-            machine,
-            fr,
-            phases: Vec::with_capacity(plan.phases.len()),
-            clock: SimTime::ZERO,
-            events: 0,
-            aborted: false,
-            phase_ix: 0,
-            cur: None,
-            done: false,
-            spans: if profiled { Some(SpanRt::new()) } else { None },
-        }
-    }
-
-    /// Advances the run until the simulation clock reaches `t`:
-    /// processes every event firing strictly before `t` and every phase
-    /// boundary falling before `t`, then pauses at an exact event
-    /// boundary. Pausing and resuming never changes the final report.
-    pub fn run_until(&mut self, t: SimTime) {
-        self.step(Some(t), &mut None, &mut None);
-    }
-
-    /// Whether the run has completed (its report is final).
-    pub fn is_done(&self) -> bool {
-        self.done
-    }
-
-    /// The simulation clock at the current pause point: the stashed
-    /// event's pop time when paused mid-phase (everything strictly
-    /// before it is simulated), else the last phase boundary.
-    pub fn paused_at(&self) -> SimTime {
-        match &self.cur {
-            Some(cur) => match &cur.pending {
-                Some((t, _)) => *t,
-                None => cur.horizon.max(self.clock),
-            },
-            None => self.clock,
-        }
-    }
-
-    /// Events processed so far (the report's `events` once done),
-    /// including the in-flight phase.
-    pub fn events_so_far(&self) -> u64 {
-        self.events + self.cur.as_ref().map_or(0, |c| c.q.popped())
-    }
-
-    /// Forks the run at the current pause point: an independent
-    /// continuation sharing the already-simulated prefix.
-    #[must_use]
-    pub fn fork(&self) -> ExecRun<'p> {
-        self.clone()
-    }
-
-    /// Forks the run and swaps in a fresh fault schedule and recovery
-    /// policy for the continuation: the fork-at-fault-time primitive.
-    /// The healthy prefix is simulated once; each fault scenario replays
-    /// only its suffix.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the prefix already consumed fault state (a fault was
-    /// applied or the schedule cursor moved) — a continuation under a
-    /// different schedule would then diverge from a from-scratch run.
-    #[must_use]
-    pub fn fork_with_faults(&self, faults: FaultPlan, recovery: RecoveryPolicy) -> ExecRun<'p> {
-        assert!(
-            self.fr.injected == 0 && self.fr.next == 0,
-            "cannot swap fault plans: the prefix already consumed fault state"
-        );
-        debug_assert!(self.fr.pool.is_empty() && self.fr.abort_at.is_none());
-        let mut run = self.clone();
-        run.fr = FaultRt::new(&faults, recovery, run.sim.seed, run.machine.nodes());
-        run.sim.faults = faults;
-        run.sim.recovery = recovery;
-        run
-    }
-
-    /// Runs to completion and returns the report — field-identical to
-    /// [`Simulation::run_plan`] on the same configuration.
-    pub fn finish(mut self) -> Report {
-        self.step(None, &mut None, &mut None);
-        self.into_parts().0
-    }
-
-    /// Runs to completion and returns the report plus the span trace.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the run was not started with profiling
-    /// ([`Simulation::start_profiled`]).
-    pub fn finish_profiled(mut self) -> (Report, SpanTrace) {
-        self.step(None, &mut None, &mut None);
-        let (report, spans) = self.into_parts();
-        (report, spans.expect("run was started without profiling"))
-    }
-
-    /// The single event loop shared by from-scratch runs, paused runs,
-    /// and forked continuations. `limit = None` runs to completion.
-    fn step(
-        &mut self,
-        limit: Option<SimTime>,
-        trace: &mut Option<&mut Trace>,
-        metrics: &mut Option<&mut MetricsBuilder>,
-    ) {
-        while !self.done {
-            if self.cur.is_none() {
-                if self.phase_ix >= self.plan.phases.len() {
-                    self.done = true;
-                    break;
-                }
-                // Pause before starting a phase whose barrier-start
-                // clock has reached the limit.
-                if limit.is_some_and(|l| self.clock >= l) {
-                    return;
-                }
-                if let PhaseStart::Aborted { before, end } = self.start_phase() {
-                    self.finish_phase(before, end, 0, true);
-                    continue;
-                }
-            }
-            match self.run_events(limit, trace, metrics) {
-                EventsOutcome::Paused => return,
-                EventsOutcome::PhaseDone { end, aborted } => {
-                    let cur = self.cur.take().expect("phase state present");
-                    self.finish_phase(cur.before, end, cur.q.popped(), aborted);
-                }
-            }
-        }
-    }
-
-    /// Opens the phase at `phase_ix`: applies barrier-due faults, builds
-    /// the queue and per-node state, and primes every read pipeline.
-    fn start_phase(&mut self) -> PhaseStart {
-        let plan = self.plan;
-        let phase = &plan.phases[self.phase_ix];
-        let start = self.clock;
-        let region = phase_region(phase);
-        self.machine.begin_phase(region);
-        if let Some(rt) = self.spans.as_mut() {
-            rt.last = SpanId::NONE;
-            rt.last_end = start;
-        }
-        let before = PhaseSnapshot::take(&self.machine);
-        let m = &mut self.machine;
-        let fr = &mut self.fr;
-        let n = m.nodes();
-        // Faults due at or before the barrier strike before any work starts.
-        if fr.pending() {
-            fr.apply_phase_start(m, start);
-        }
-        if let Some(abort) = fr.abort_at {
-            if abort <= start || m.failed_count() == n {
-                return PhaseStart::Aborted {
-                    before,
-                    end: abort.max(start),
-                };
-            }
-        }
-        if m.failed_count() == n {
-            return PhaseStart::Aborted { before, end: start };
-        }
-        // Disk-group separation (SMP, NOW-sort style) only pays off when
-        // the write stream is substantial.
-        let phase_writes = phase_writes(phase);
-        let costs = PhaseCosts::new(m, phase);
-
-        let window = m.window() as u64;
-        // Steady state holds `window` in-flight reads per node plus the
-        // messages they fan out into; pre-size the queue to that depth.
-        let mut q: EventQueue<Ev> =
-            EventQueue::with_backend_capacity(self.sim.queue_backend, n * (window as usize + 4));
-        let (mut nodes, init_abort) = init_phase_nodes(m, phase, fr, start);
-        if let Some(abort) = init_abort {
-            return PhaseStart::Aborted { before, end: abort };
-        }
-
-        // Prime each node's pipeline: the phase fan-out schedules every
-        // node's full read window in one batched push (same event order
-        // as pushing one by one, so sequence numbers — and reports — are
-        // unchanged).
-        let mut spans = self.spans.as_mut();
-        let mut primed: Vec<(SimTime, Ev)> = Vec::with_capacity(n * window as usize);
-        for node in 0..n {
-            let to_issue = window.min(nodes[node].batches_total);
-            for _ in 0..to_issue {
-                if let Some(ev) = prepare_read(
-                    m,
-                    &mut nodes,
-                    node,
-                    start,
-                    region,
-                    phase_writes,
-                    fr.policy,
-                    &mut spans,
-                    SpanId::NONE,
-                    0,
-                ) {
-                    primed.push(ev);
-                }
-            }
-        }
-        q.push_many(primed);
-        self.cur = Some(PhaseRun {
-            costs,
-            q,
-            pending: None,
-            nodes,
-            horizon: start,
-            before,
-        });
-        PhaseStart::Running
-    }
-
-    /// Pops and dispatches events of the current phase until the queue
-    /// drains, the run aborts, or the limit strikes.
-    fn run_events(
-        &mut self,
-        limit: Option<SimTime>,
-        trace: &mut Option<&mut Trace>,
-        metrics: &mut Option<&mut MetricsBuilder>,
-    ) -> EventsOutcome {
-        let plan = self.plan;
-        let phase = &plan.phases[self.phase_ix];
-        let phase_ix = self.phase_ix;
-        let region = phase_region(phase);
-        let phase_writes = phase_writes(phase);
-        let cur = self.cur.as_mut().expect("phase state present");
-        let m = &mut self.machine;
-        let fr = &mut self.fr;
-        let mut spans = self.spans.as_mut();
-        let window = m.window() as u64;
-        loop {
-            let (now, ev) = match cur.pending.take() {
-                Some(next) => next,
-                None => match cur.q.pop() {
-                    Some(next) => next,
-                    None => break,
-                },
-            };
-            if limit.is_some_and(|l| now >= l) {
-                // Pause *before* processing: the event keeps its pop
-                // sequencing and waits in the pending slot.
-                cur.pending = Some((now, ev));
-                return EventsOutcome::Paused;
-            }
-            cur.horizon = cur.horizon.max(now);
-            // Faults-off cost: one bounds check per event.
-            if fr.pending() {
-                fr.apply_due(m, &mut cur.q, &mut cur.nodes, now);
-            }
-            if let Some(abort) = fr.abort_at {
-                if now >= abort {
-                    return EventsOutcome::PhaseDone {
-                        end: abort,
-                        aborted: true,
-                    };
-                }
-            }
-            // Metrics-off cost: one `Option` discriminant check per event.
-            if let Some(mb) = metrics.as_deref_mut() {
-                if mb.due(now) {
-                    mb.sample(now, &m.resource_usage(), cur.q.len());
-                }
-            }
-            handle_ev(
-                m,
-                &mut EvQ {
-                    q: &mut cur.q,
-                    counts: None,
-                },
-                &mut PhaseCtx {
-                    phase,
-                    costs: &cur.costs,
-                    nodes: &mut cur.nodes,
-                    horizon: &mut cur.horizon,
-                    region,
-                    phase_writes,
-                    phase_ix,
-                    window,
-                    qid: 0,
-                },
-                fr,
-                trace,
-                &mut spans,
-                now,
-                ev,
-            );
-        }
-
-        // Fail-stop policy with the abort clock beyond the last event:
-        // the survivors drained their queues, but the failed partition
-        // was never re-read — the run still aborts at the detection time.
-        if let Some(abort) = fr.abort_at {
-            return EventsOutcome::PhaseDone {
-                end: abort,
-                aborted: true,
-            };
-        }
-
-        // Byte conservation: the nodes together must have issued exactly
-        // the plan's read bytes — the per-node split drops nothing, and
-        // recovery re-issues every batch a failed node left behind.
-        let issued: u64 = cur.nodes.iter().map(|s| s.issued_bytes).sum();
-        assert_eq!(
-            issued, phase.read_bytes_total,
-            "phase '{}' issued {issued} B of {} B planned",
-            phase.name, phase.read_bytes_total
-        );
-
-        // Out-of-band disk positioning penalty (e.g. merge run switches):
-        // per-node and overlapped across nodes, so it extends the phase once.
-        let end = cur.horizon + phase.extra_disk_busy_per_node;
-        if phase.extra_disk_busy_per_node > simcore::Duration::ZERO {
-            if let Some(rt) = spans {
-                let parent = rt.last;
-                rt.record(
-                    parent,
-                    POSITIONING_RESOURCE,
-                    SpanKind::Positioning,
-                    FRONT_END_NODE,
-                    cur.horizon,
-                    end,
-                    0,
-                );
-            }
-        }
-        EventsOutcome::PhaseDone {
-            end,
-            aborted: false,
-        }
-    }
-
-    /// Closes the phase at `phase_ix`: the barrier, the phase report,
-    /// and the clock advance.
-    fn finish_phase(
-        &mut self,
-        before: PhaseSnapshot,
-        end: SimTime,
-        phase_events: u64,
-        phase_aborted: bool,
-    ) {
-        let plan = self.plan;
-        let phase = &plan.phases[self.phase_ix];
-        self.events += phase_events;
-        let after = PhaseSnapshot::take(&self.machine);
-        // Every phase boundary is a global barrier (no node starts the
-        // next phase before all have finished this one). An aborted
-        // phase ends at the abort clock: there is no barrier because
-        // there is no next phase.
-        let pre_barrier = end;
-        let end = if phase_aborted {
-            end
-        } else {
-            end + self.machine.barrier_costs().barrier(self.machine.nodes())
-        };
-        if let Some(rt) = self.spans.as_mut() {
-            if !phase_aborted {
-                // The barrier span chains onto the phase's last span
-                // (which ends exactly at `pre_barrier` on healthy runs),
-                // making it the critical-path anchor.
-                let parent = rt.last;
-                rt.record(
-                    parent,
-                    BARRIER_RESOURCE,
-                    SpanKind::Barrier,
-                    FRONT_END_NODE,
-                    pre_barrier,
-                    end,
-                    0,
-                );
-            }
-            rt.phases.push(PhaseSpans {
-                name: phase.name,
-                start: self.clock,
-                end,
-                anchor: rt.last,
-            });
-        }
-        self.phases.push(before.delta(
-            &after,
-            phase.name,
-            end.since(self.clock),
-            self.machine.nodes(),
-        ));
-        self.clock = end;
-        self.phase_ix += 1;
-        if phase_aborted {
-            self.aborted = true;
-            self.done = true;
-        }
-    }
-
-    /// Builds the final report (and span trace, when profiled) from a
-    /// completed run.
-    fn into_parts(self) -> (Report, Option<SpanTrace>) {
-        debug_assert!(self.done, "into_parts on an unfinished run");
-        let report = Report {
-            task: self.plan.task,
-            architecture: self.sim.arch.short_name(),
-            disks: self.machine.nodes(),
-            phases: self.phases,
-            disk_service: self.machine.disk_service_histogram(),
-            events: self.events,
-            faults_injected: self.fr.injected,
-            recovery_time: self.machine.recovery_busy(),
-            work_redistributed: self.machine.work_redistributed(),
-            aborted: self.aborted,
-            downtime: self.machine.disk_downtime(self.clock),
-        };
-        let spans = self.spans.map(|rt| SpanTrace {
-            arena: rt.arena,
-            phases: rt.phases,
-        });
-        (report, spans)
-    }
-}
-
-impl ExecRun<'_> {
-    /// Serializes the paused run — clock, machine, fault runtime,
-    /// finished-phase reports, and (mid-phase) the live event queue,
-    /// pending event, per-node progress, and phase-start counter
-    /// snapshot — in the exact-integer state codec. Per-batch costs and
-    /// queue configuration are recomputed on load, never stored.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the run is profiled: the span arena is not captured on
-    /// disk (fork in memory to keep profiling across a branch point).
-    pub fn save_state(&self, w: &mut StateWriter) {
-        assert!(
-            self.spans.is_none(),
-            "profiled runs cannot be checkpointed to disk"
-        );
-        w.field("clock_ns", self.clock.as_nanos());
-        w.field("events", self.events);
-        w.field("aborted", u8::from(self.aborted));
-        w.field("phase_ix", self.phase_ix);
-        w.field("done", u8::from(self.done));
-        self.machine.save_state(w);
-        self.fr.save_state(w);
-        w.field("phases_done", self.phases.len());
-        for p in &self.phases {
-            codec::save_phase_report(p, w);
-        }
-        w.field("midphase", u8::from(self.cur.is_some()));
-        if let Some(cur) = &self.cur {
-            match &cur.pending {
-                Some((t, ev)) => {
-                    w.field("pending", 1u8);
-                    w.str_field("pending_ev", &format!("{} {}", t.as_nanos(), encode_ev(ev)));
-                }
-                None => w.field("pending", 0u8),
-            }
-            let snap = cur.q.snapshot();
-            w.field("q_popped", snap.popped);
-            w.field("q_last_ns", snap.last_popped.as_nanos());
-            w.field("q_len", snap.events.len());
-            for (t, ev) in &snap.events {
-                w.str_field("qe", &format!("{} {}", t.as_nanos(), encode_ev(ev)));
-            }
-            w.field("horizon_ns", cur.horizon.as_nanos());
-            w.field("nodes_n", cur.nodes.len());
-            for st in &cur.nodes {
-                save_node_state(st, w);
-            }
-            cur.before.save_state(w);
-        }
-    }
-}
-
-impl<'p> ExecRun<'p> {
-    /// Rebuilds a paused run from [`ExecRun::save_state`] output. `sim`
-    /// and `plan` must be the configuration the state was saved under
-    /// (the checkpoint cache key guarantees this; a mismatched machine
-    /// shape is also caught here as an error). The restored queue is
-    /// freshly built for `sim`'s backend and replays the saved pop
-    /// order exactly, so a checkpoint taken under one backend resumes
-    /// bit-identically under any other.
-    pub fn load_state(
-        sim: &Simulation,
-        plan: &'p TaskPlan,
-        r: &mut StateReader<'_>,
-    ) -> Result<Self, StateError> {
-        if plan.validate().is_err() {
-            return Err(StateError::new("invalid task plan"));
-        }
-        let mut run = ExecRun::start_inner(sim, plan, false);
-        run.clock = SimTime::from_nanos(r.num("clock_ns")?);
-        run.events = r.num("events")?;
-        run.aborted = r.flag("aborted")?;
-        run.phase_ix = r.num("phase_ix")?;
-        run.done = r.flag("done")?;
-        if run.phase_ix > plan.phases.len() {
-            return Err(StateError::new("phase cursor out of range"));
-        }
-        run.machine.load_state(r)?;
-        run.fr.load_state(r)?;
-        let nphases: usize = r.num("phases_done")?;
-        if nphases > plan.phases.len() {
-            return Err(StateError::new("finished-phase count out of range"));
-        }
-        run.phases = (0..nphases)
-            .map(|_| codec::load_phase_report(r))
-            .collect::<Result<_, _>>()?;
-        if r.flag("midphase")? {
-            if run.phase_ix >= plan.phases.len() {
-                return Err(StateError::new("mid-phase state past the last phase"));
-            }
-            let phase = &plan.phases[run.phase_ix];
-            let pending = if r.flag("pending")? {
-                Some(parse_timed_ev(r.field("pending_ev")?)?)
-            } else {
-                None
-            };
-            let popped: u64 = r.num("q_popped")?;
-            let last_popped = SimTime::from_nanos(r.num("q_last_ns")?);
-            let qlen: usize = r.num("q_len")?;
-            let events = (0..qlen)
-                .map(|_| parse_timed_ev(r.field("qe")?))
-                .collect::<Result<_, _>>()?;
-            let n = run.machine.nodes();
-            let window = run.machine.window() as u64;
-            let mut q: EventQueue<Ev> =
-                EventQueue::with_backend_capacity(sim.queue_backend, n * (window as usize + 4));
-            q.load_snapshot(QueueSnapshot {
-                events,
-                popped,
-                last_popped,
-            });
-            let horizon = SimTime::from_nanos(r.num("horizon_ns")?);
-            let nodes_n: usize = r.num("nodes_n")?;
-            if nodes_n != n {
-                return Err(StateError::new("node-state count mismatch"));
-            }
-            let nodes = (0..n)
-                .map(|_| load_node_state(r))
-                .collect::<Result<_, _>>()?;
-            let before = PhaseSnapshot::load_state(r)?;
-            let costs = PhaseCosts::new(&run.machine, phase);
-            run.cur = Some(PhaseRun {
-                costs,
-                q,
-                pending,
-                nodes,
-                horizon,
-                before,
-            });
-        }
-        Ok(run)
-    }
-}
-
 impl FaultRt {
     /// Serializes the runtime state (not the schedule, which is rebuilt
     /// from the fault plan on load).
-    fn save_state(&self, w: &mut StateWriter) {
+    pub(crate) fn save_state(&self, w: &mut StateWriter) {
         w.field("fr_next", self.next);
         w.list("fr_detected", self.detected.iter().map(|&b| u8::from(b)));
         w.field("fr_pool", self.pool.len());
@@ -1703,7 +942,7 @@ impl FaultRt {
 
     /// Restores runtime state into a `FaultRt` freshly built from the
     /// same plan, policy, seed, and node count.
-    fn load_state(&mut self, r: &mut StateReader<'_>) -> Result<(), StateError> {
+    pub(crate) fn load_state(&mut self, r: &mut StateReader<'_>) -> Result<(), StateError> {
         let next: usize = r.num("fr_next")?;
         if next > self.events.len() {
             return Err(StateError::new("fault cursor out of range"));
@@ -1732,7 +971,7 @@ impl FaultRt {
 }
 
 impl PhaseSnapshot {
-    fn save_state(&self, w: &mut StateWriter) {
+    pub(crate) fn save_state(&self, w: &mut StateWriter) {
         codec::save_tag_map(&self.cpu_by_tag, w);
         w.field("cpu_total_ns", self.cpu_total.as_nanos());
         w.field("disk_total_ns", self.disk_total.as_nanos());
@@ -1741,7 +980,7 @@ impl PhaseSnapshot {
         codec::save_resources(&self.resources, w);
     }
 
-    fn load_state(r: &mut StateReader<'_>) -> Result<Self, StateError> {
+    pub(crate) fn load_state(r: &mut StateReader<'_>) -> Result<Self, StateError> {
         Ok(PhaseSnapshot {
             cpu_by_tag: codec::load_tag_map(r)?,
             cpu_total: Duration::from_nanos(r.num("cpu_total_ns")?),
@@ -1755,7 +994,7 @@ impl PhaseSnapshot {
 
 /// Encodes one executor event (without its span — checkpoints capture
 /// unprofiled runs, where every span is [`SpanId::NONE`]).
-fn encode_ev(ev: &Ev) -> String {
+pub(crate) fn encode_ev(ev: &Ev) -> String {
     match *ev {
         Ev::BatchRead {
             node, bytes, query, ..
@@ -1784,7 +1023,7 @@ fn encode_ev(ev: &Ev) -> String {
 
 /// Parses a `<nanos> <event>` line ([`encode_ev`] output after the
 /// timestamp).
-fn parse_timed_ev(s: &str) -> Result<(SimTime, Ev), StateError> {
+pub(crate) fn parse_timed_ev(s: &str) -> Result<(SimTime, Ev), StateError> {
     let bad = || StateError::new(format!("bad event line `{s}`"));
     let mut tokens = s.split(' ');
     let ns: u64 = tokens.next().and_then(|t| t.parse().ok()).ok_or_else(bad)?;
@@ -1844,7 +1083,7 @@ fn parse_timed_ev(s: &str) -> Result<(SimTime, Ev), StateError> {
     Ok((SimTime::from_nanos(ns), ev))
 }
 
-fn save_node_state(st: &NodeState, w: &mut StateWriter) {
+pub(crate) fn save_node_state(st: &NodeState, w: &mut StateWriter) {
     w.list(
         "nstate",
         [
@@ -1875,7 +1114,7 @@ fn save_node_state(st: &NodeState, w: &mut StateWriter) {
     }
 }
 
-fn load_node_state(r: &mut StateReader<'_>) -> Result<NodeState, StateError> {
+pub(crate) fn load_node_state(r: &mut StateReader<'_>) -> Result<NodeState, StateError> {
     let v: [u64; 10] = r.array("nstate")?;
     let recovery_pending: Vec<u64> = r.nums("recovery_pending")?;
     let [write_credit, shuffle_credit, frontend_credit] =
@@ -1907,13 +1146,12 @@ fn load_node_state(r: &mut StateReader<'_>) -> Result<NodeState, StateError> {
 
 /// Per-phase execution context threaded into [`handle_ev`]: the plan,
 /// its precomputed costs, per-node progress, and the phase cursors. The
-/// single-query loop materializes one per pop over its locals; the
-/// multi-query executor materializes one per event from the owning
-/// query's state.
+/// driver materializes one per work event from the owning query's
+/// state.
 pub(crate) struct PhaseCtx<'a> {
     pub(crate) phase: &'a PhasePlan,
     pub(crate) costs: &'a PhaseCosts,
-    pub(crate) nodes: &'a mut Vec<NodeState>,
+    pub(crate) nodes: &'a mut [NodeState],
     pub(crate) horizon: &'a mut SimTime,
     pub(crate) region: usize,
     pub(crate) phase_writes: bool,
@@ -1923,10 +1161,8 @@ pub(crate) struct PhaseCtx<'a> {
 }
 
 /// Dispatches one popped *work* event against the machine: the phase
-/// executor's single state machine, shared verbatim by [`run_phase`]
-/// and the multi-query executor so one query's machine effects are
-/// identical in both. Control events are dispatched before this point
-/// and never reach here.
+/// executor's single state machine. Control events are dispatched by the
+/// driver ([`crate::mqexec`]) and never reach here.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn handle_ev(
     m: &mut Machine,
@@ -1938,22 +1174,7 @@ pub(crate) fn handle_ev(
     now: SimTime,
     ev: Ev,
 ) {
-    let PhaseCtx {
-        phase,
-        costs,
-        nodes,
-        horizon,
-        region,
-        phase_writes,
-        phase_ix,
-        window,
-        qid,
-    } = ctx;
-    let (phase, costs) = (*phase, *costs);
-    let nodes = &mut **nodes;
-    let horizon = &mut **horizon;
-    let (region, phase_writes, phase_ix, window, qid) =
-        (*region, *phase_writes, *phase_ix, *window, *qid);
+    let (phase, costs) = (ctx.phase, ctx.costs);
     match ev {
         Ev::BatchRead {
             node,
@@ -1961,32 +1182,15 @@ pub(crate) fn handle_ev(
             span: ev_span,
             ..
         } => {
-            if fr.any_dead && nodes[node].dead {
-                // The batch died with its node: un-issue and pool it.
-                nodes[node].issued_bytes -= bytes;
-                fr.pool.push((node, bytes));
-                if fr.detected[node] {
-                    let touched = fr.assign_detected(nodes, now);
-                    refill(
-                        m,
-                        q,
-                        nodes,
-                        &touched,
-                        now,
-                        window,
-                        region,
-                        phase_writes,
-                        fr.policy,
-                        spans,
-                        qid,
-                    );
-                }
+            if fr.any_dead && ctx.nodes[node].dead {
+                // The batch died with its node.
+                lose_batch(m, q, ctx, fr, node, bytes, now, spans);
                 return;
             }
             record(
                 trace,
                 now,
-                phase_ix,
+                ctx.phase_ix,
                 NodeId::Node(node),
                 TraceKind::ReadDone,
                 bytes,
@@ -2017,7 +1221,7 @@ pub(crate) fn handle_ev(
                     node,
                     bytes,
                     span: cpu_span,
-                    query: qid,
+                    query: ctx.qid,
                 },
             );
         }
@@ -2027,79 +1231,36 @@ pub(crate) fn handle_ev(
             span: ev_span,
             ..
         } => {
-            if fr.any_dead && nodes[node].dead {
+            if fr.any_dead && ctx.nodes[node].dead {
                 // Processed output lost with the node: a survivor
                 // must re-read the underlying batch.
-                nodes[node].issued_bytes -= bytes;
-                fr.pool.push((node, bytes));
-                if fr.detected[node] {
-                    let touched = fr.assign_detected(nodes, now);
-                    refill(
-                        m,
-                        q,
-                        nodes,
-                        &touched,
-                        now,
-                        window,
-                        region,
-                        phase_writes,
-                        fr.policy,
-                        spans,
-                        qid,
-                    );
-                }
+                lose_batch(m, q, ctx, fr, node, bytes, now, spans);
                 return;
             }
             record(
                 trace,
                 now,
-                phase_ix,
+                ctx.phase_ix,
                 NodeId::Node(node),
                 TraceKind::BatchProcessed,
                 bytes,
             );
-            nodes[node].processed += 1;
-            *horizon = (*horizon).max(now);
+            ctx.nodes[node].processed += 1;
+            *ctx.horizon = (*ctx.horizon).max(now);
             // Keep the pipeline full.
-            if nodes[node].issued < nodes[node].batches_total {
-                issue_read(
-                    m,
-                    q,
-                    nodes,
-                    node,
-                    now,
-                    region,
-                    phase_writes,
-                    fr.policy,
-                    spans,
-                    ev_span,
-                    qid,
-                );
+            if ctx.nodes[node].issued < ctx.nodes[node].batches_total {
+                issue_read(m, q, ctx, node, now, fr.policy, spans, ev_span);
             }
             // Route the outputs.
-            nodes[node].shuffle_credit += bytes as f64 * phase.shuffle_factor;
-            nodes[node].frontend_credit += bytes as f64 * phase.frontend_factor;
-            nodes[node].write_credit += bytes as f64 * phase.local_write_factor;
-            let finished = nodes[node].processed == nodes[node].batches_total;
-            drain_outputs(
-                m,
-                q,
-                nodes,
-                costs,
-                fr,
-                node,
-                now,
-                finished,
-                horizon,
-                region,
-                phase_writes,
-                phase.shuffle_weights.as_deref(),
-                spans,
-                ev_span,
-                qid,
-            );
-            if finished && phase.frontend_bytes_per_node > 0 && !nodes[node].fe_sent {
-                nodes[node].fe_sent = true;
+            let st = &mut ctx.nodes[node];
+            st.shuffle_credit += bytes as f64 * phase.shuffle_factor;
+            st.frontend_credit += bytes as f64 * phase.frontend_factor;
+            st.write_credit += bytes as f64 * phase.local_write_factor;
+            let finished = st.processed == st.batches_total;
+            drain_outputs(m, q, ctx, fr, node, now, finished, spans, ev_span);
+            let bytes = phase.frontend_bytes_per_node;
+            if finished && bytes > 0 && !ctx.nodes[node].fe_sent {
+                ctx.nodes[node].fe_sent = true;
                 if phase.frontend_combinable && node != 0 && !m.restricted_peer_routing() {
                     // Combinable partials flow up a reduction tree
                     // (the messaging library's global reduce) instead
@@ -2109,48 +1270,17 @@ pub(crate) fn handle_ev(
                     if fr.any_dead {
                         // Route around dead ancestors; if the root is
                         // gone, go straight to the front-end.
-                        while parent != 0 && nodes[parent].dead {
+                        while parent != 0 && ctx.nodes[parent].dead {
                             parent = (parent - 1) / 2;
                         }
                     }
-                    if fr.any_dead && nodes[parent].dead {
-                        send_frontend(
-                            m,
-                            q,
-                            costs,
-                            node,
-                            now,
-                            phase.frontend_bytes_per_node,
-                            spans,
-                            ev_span,
-                            qid,
-                        );
+                    if fr.any_dead && ctx.nodes[parent].dead {
+                        send_frontend(m, q, ctx, node, now, bytes, spans, ev_span);
                     } else {
-                        send_peer(
-                            m,
-                            q,
-                            costs,
-                            node,
-                            parent,
-                            now,
-                            phase.frontend_bytes_per_node,
-                            spans,
-                            ev_span,
-                            qid,
-                        );
+                        send_peer(m, q, ctx, node, parent, now, bytes, spans, ev_span);
                     }
                 } else {
-                    send_frontend(
-                        m,
-                        q,
-                        costs,
-                        node,
-                        now,
-                        phase.frontend_bytes_per_node,
-                        spans,
-                        ev_span,
-                        qid,
-                    );
+                    send_frontend(m, q, ctx, node, now, bytes, spans, ev_span);
                 }
             }
         }
@@ -2161,11 +1291,11 @@ pub(crate) fn handle_ev(
             span: ev_span,
             ..
         } => {
-            if fr.any_dead && nodes[dst].dead {
+            if fr.any_dead && ctx.nodes[dst].dead {
                 // Receiver gone: the sender times out and re-sends to
                 // the next survivor (unless it has since died too).
-                if !nodes[src].dead {
-                    if let Some(dst2) = next_healthy(nodes, dst) {
+                if !ctx.nodes[src].dead {
+                    if let Some(dst2) = next_healthy(ctx.nodes, dst) {
                         let arrival = m.peer_transfer(now + RETRY_TIMEOUT, src, dst2, bytes);
                         // The retry span covers the timeout plus the
                         // re-shipment so the causal chain stays gapless.
@@ -2186,7 +1316,7 @@ pub(crate) fn handle_ev(
                                 dst: dst2,
                                 bytes,
                                 span: retry_span,
-                                query: qid,
+                                query: ctx.qid,
                             },
                         );
                     }
@@ -2196,7 +1326,7 @@ pub(crate) fn handle_ev(
             record(
                 trace,
                 now,
-                phase_ix,
+                ctx.phase_ix,
                 NodeId::Node(dst),
                 TraceKind::PeerArrive,
                 bytes,
@@ -2228,7 +1358,7 @@ pub(crate) fn handle_ev(
                     node: dst,
                     bytes,
                     span: recv_span,
-                    query: qid,
+                    query: ctx.qid,
                 },
             );
         }
@@ -2238,25 +1368,25 @@ pub(crate) fn handle_ev(
             span: ev_span,
             ..
         } => {
-            if fr.any_dead && nodes[node].dead {
+            if fr.any_dead && ctx.nodes[node].dead {
                 return;
             }
             record(
                 trace,
                 now,
-                phase_ix,
+                ctx.phase_ix,
                 NodeId::Node(node),
                 TraceKind::RecvProcessed,
                 bytes,
             );
-            *horizon = (*horizon).max(now);
+            *ctx.horizon = (*ctx.horizon).max(now);
             if phase.write_received {
                 let aligned = align_sectors(bytes);
-                let done = m.write(node, now, aligned, region, phase_writes);
+                let done = m.write(node, now, aligned, ctx.region, ctx.phase_writes);
                 record(
                     trace,
                     done,
-                    phase_ix,
+                    ctx.phase_ix,
                     NodeId::Node(node),
                     TraceKind::WriteDone,
                     aligned,
@@ -2271,7 +1401,7 @@ pub(crate) fn handle_ev(
                     done,
                     aligned,
                 );
-                *horizon = (*horizon).max(done);
+                *ctx.horizon = (*ctx.horizon).max(done);
             }
         }
         Ev::FeArrive {
@@ -2282,7 +1412,7 @@ pub(crate) fn handle_ev(
             record(
                 trace,
                 now,
-                phase_ix,
+                ctx.phase_ix,
                 NodeId::FrontEnd,
                 TraceKind::FeArrive,
                 bytes,
@@ -2303,26 +1433,13 @@ pub(crate) fn handle_ev(
                 done,
                 bytes,
             );
-            *horizon = (*horizon).max(done);
+            *ctx.horizon = (*ctx.horizon).max(done);
         }
         Ev::RecoveryKick { node, .. } => {
             // Request timeouts on the failed node expired: its loss
             // is now globally known and its partition is reassigned.
             fr.detected[node] = true;
-            let touched = fr.assign_detected(nodes, now);
-            refill(
-                m,
-                q,
-                nodes,
-                &touched,
-                now,
-                window,
-                region,
-                phase_writes,
-                fr.policy,
-                spans,
-                qid,
-            );
+            reassign(m, q, ctx, fr, now, spans);
         }
         Ev::Admit { .. } | Ev::PhaseStart { .. } | Ev::Deadline { .. } | Ev::Retry { .. } => {
             unreachable!("control events never reach the phase executor")
@@ -2330,142 +1447,133 @@ pub(crate) fn handle_ev(
     }
 }
 
-/// Charges one batch read against the machine and returns the completion
-/// event to schedule, or `None` if the node has nothing left to read.
-/// Callers either push immediately ([`issue_read`]) or collect a batch
-/// for [`EventQueue::push_many`] (phase priming).
+/// Un-issues a batch lost with its failed node and pools it for the
+/// survivors, reassigning right away once the failure is detected.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn prepare_read(
+fn lose_batch(
     m: &mut Machine,
-    nodes: &mut [NodeState],
+    q: &mut EvQ,
+    ctx: &mut PhaseCtx,
+    fr: &mut FaultRt,
     node: usize,
+    bytes: u64,
     now: SimTime,
-    region: usize,
-    phase_writes: bool,
-    policy: RecoveryPolicy,
     spans: &mut Option<&mut SpanRt>,
-    parent: SpanId,
-    qid: u32,
-) -> Option<(SimTime, Ev)> {
-    let st = &mut nodes[node];
-    if st.dead {
-        return None;
-    }
-    if st.bytes_total > 0 && st.issued < st.own_batches {
-        let is_last = st.issued == st.own_batches - 1;
-        let bytes = if is_last {
-            st.last_batch_bytes
-        } else {
-            BATCH_BYTES
-        };
-        st.issued += 1;
-        st.issued_bytes += bytes;
-        let aligned = align_sectors(bytes);
-        let ready = m.read(node, now, aligned, region, phase_writes);
-        let read_span = span(
-            spans,
-            parent,
-            Resource::DiskMedia.key(),
-            SpanKind::DiskRead,
-            node as u32,
-            now,
-            ready.max(now),
-            aligned,
-        );
-        Some((
-            ready.max(now),
-            Ev::BatchRead {
-                node,
-                bytes,
-                span: read_span,
-                query: qid,
-            },
-        ))
-    } else if let Some(bytes) = st.recovery_pending.pop_front() {
-        // A failed peer's batch: re-read it from the surviving disks
-        // (mirror or parity reconstruction) and ship it here.
-        st.issued += 1;
-        st.issued_bytes += bytes;
-        let aligned = align_sectors(bytes);
-        let ready = m.recovery_read(policy, node, now, aligned, region, phase_writes);
-        let read_span = span(
-            spans,
-            parent,
-            Resource::Recovery.key(),
-            SpanKind::DiskRead,
-            node as u32,
-            now,
-            ready.max(now),
-            aligned,
-        );
-        Some((
-            ready.max(now),
-            Ev::BatchRead {
-                node,
-                bytes,
-                span: read_span,
-                query: qid,
-            },
-        ))
-    } else {
-        None
+) {
+    ctx.nodes[node].issued_bytes -= bytes;
+    fr.pool.push((node, bytes));
+    if fr.detected[node] {
+        reassign(m, q, ctx, fr, now, spans);
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn issue_read(
+/// Hands every detected failure's pooled work to the survivors and tops
+/// their pipelines back up to the read window (their own pipeline may
+/// already have drained, in which case no `BatchProcessed` event would
+/// ever re-prime them). Recovery-driven reads are rooted at the
+/// detection event, not a prior span; the walker surfaces any gap they
+/// leave as "unattributed".
+fn reassign(
     m: &mut Machine,
     q: &mut EvQ,
-    nodes: &mut [NodeState],
+    ctx: &mut PhaseCtx,
+    fr: &mut FaultRt,
+    now: SimTime,
+    spans: &mut Option<&mut SpanRt>,
+) {
+    for node in fr.assign_detected(ctx.nodes, now) {
+        while !ctx.nodes[node].dead
+            && ctx.nodes[node].issued < ctx.nodes[node].batches_total
+            && ctx.nodes[node]
+                .issued
+                .saturating_sub(ctx.nodes[node].processed)
+                < ctx.window
+        {
+            issue_read(m, q, ctx, node, now, fr.policy, spans, SpanId::NONE);
+        }
+    }
+}
+
+/// Issues `node`'s next batch read — its own partition first, then
+/// recovery work for failed peers — and schedules its completion; does
+/// nothing if the node is dead or has nothing left to read.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn issue_read(
+    m: &mut Machine,
+    q: &mut EvQ,
+    ctx: &mut PhaseCtx,
     node: usize,
     now: SimTime,
-    region: usize,
-    phase_writes: bool,
     policy: RecoveryPolicy,
     spans: &mut Option<&mut SpanRt>,
     parent: SpanId,
-    qid: u32,
 ) {
-    if let Some((t, ev)) = prepare_read(
-        m,
-        nodes,
-        node,
-        now,
-        region,
-        phase_writes,
-        policy,
+    let st = &mut ctx.nodes[node];
+    if st.dead {
+        return;
+    }
+    let own = st.bytes_total > 0 && st.issued < st.own_batches;
+    let bytes = if !own {
+        // A failed peer's batch: re-read it from the surviving disks
+        // (mirror or parity reconstruction) and ship it here.
+        match st.recovery_pending.pop_front() {
+            Some(bytes) => bytes,
+            None => return,
+        }
+    } else if st.issued == st.own_batches - 1 {
+        st.last_batch_bytes
+    } else {
+        BATCH_BYTES
+    };
+    st.issued += 1;
+    st.issued_bytes += bytes;
+    let aligned = align_sectors(bytes);
+    let (ready, resource) = if own {
+        let ready = m.read(node, now, aligned, ctx.region, ctx.phase_writes);
+        (ready, Resource::DiskMedia)
+    } else {
+        let ready = m.recovery_read(policy, node, now, aligned, ctx.region, ctx.phase_writes);
+        (ready, Resource::Recovery)
+    };
+    let read_span = span(
         spans,
         parent,
-        qid,
-    ) {
-        q.push(t, ev);
-    }
+        resource.key(),
+        SpanKind::DiskRead,
+        node as u32,
+        now,
+        ready.max(now),
+        aligned,
+    );
+    q.push(
+        ready.max(now),
+        Ev::BatchRead {
+            node,
+            bytes,
+            span: read_span,
+            query: ctx.qid,
+        },
+    );
 }
 
 #[allow(clippy::too_many_arguments)]
 fn drain_outputs(
     m: &mut Machine,
     q: &mut EvQ,
-    nodes: &mut [NodeState],
-    costs: &PhaseCosts,
+    ctx: &mut PhaseCtx,
     fr: &FaultRt,
     node: usize,
     now: SimTime,
     flush: bool,
-    horizon: &mut SimTime,
-    region: usize,
-    phase_writes: bool,
-    phase_weights: Option<&[f64]>,
     spans: &mut Option<&mut SpanRt>,
     parent: SpanId,
-    qid: u32,
 ) {
-    let n = nodes.len();
+    let n = ctx.nodes.len();
     // Shuffle: emit batch-sized messages round-robin over peers. Once a
     // peer's failure is detected, senders skip it; before detection they
     // still send and pay the retry at arrival.
     loop {
-        let st = &mut nodes[node];
+        let st = &mut ctx.nodes[node];
         let emit = if st.shuffle_credit >= BATCH_BYTES as f64 {
             BATCH_BYTES
         } else if flush && st.shuffle_credit >= 1.0 {
@@ -2474,18 +1582,18 @@ fn drain_outputs(
             break;
         };
         st.shuffle_credit -= emit as f64;
-        let mut dst = st.pick_dst(phase_weights, n);
-        if fr.any_dead && nodes[dst].dead && fr.detected[dst] {
-            match next_healthy(nodes, dst) {
+        let mut dst = st.pick_dst(ctx.phase.shuffle_weights.as_deref(), n);
+        if fr.any_dead && ctx.nodes[dst].dead && fr.detected[dst] {
+            match next_healthy(ctx.nodes, dst) {
                 Some(d) => dst = d,
                 None => continue,
             }
         }
-        send_peer(m, q, costs, node, dst, now, emit, spans, parent, qid);
+        send_peer(m, q, ctx, node, dst, now, emit, spans, parent);
     }
     // Front-end stream.
     loop {
-        let st = &mut nodes[node];
+        let st = &mut ctx.nodes[node];
         let emit = if st.frontend_credit >= BATCH_BYTES as f64 {
             BATCH_BYTES
         } else if flush && st.frontend_credit >= 1.0 {
@@ -2494,11 +1602,11 @@ fn drain_outputs(
             break;
         };
         st.frontend_credit -= emit as f64;
-        send_frontend(m, q, costs, node, now, emit, spans, parent, qid);
+        send_frontend(m, q, ctx, node, now, emit, spans, parent);
     }
     // Local writes.
     loop {
-        let st = &mut nodes[node];
+        let st = &mut ctx.nodes[node];
         let emit = if st.write_credit >= BATCH_BYTES as f64 {
             BATCH_BYTES
         } else if flush && st.write_credit >= 1.0 {
@@ -2508,7 +1616,7 @@ fn drain_outputs(
         };
         st.write_credit -= emit as f64;
         let aligned = align_sectors(emit);
-        let done = m.write(node, now, aligned, region, phase_writes);
+        let done = m.write(node, now, aligned, ctx.region, ctx.phase_writes);
         span(
             spans,
             parent,
@@ -2519,7 +1627,7 @@ fn drain_outputs(
             done,
             aligned,
         );
-        *horizon = (*horizon).max(done);
+        *ctx.horizon = (*ctx.horizon).max(done);
     }
 }
 
@@ -2527,16 +1635,15 @@ fn drain_outputs(
 fn send_peer(
     m: &mut Machine,
     q: &mut EvQ,
-    costs: &PhaseCosts,
+    ctx: &PhaseCtx,
     src: usize,
     dst: usize,
     now: SimTime,
     bytes: u64,
     spans: &mut Option<&mut SpanRt>,
     parent: SpanId,
-    qid: u32,
 ) {
-    let msg_cost = costs.msg_cost(m, bytes);
+    let msg_cost = ctx.costs.msg_cost(m, bytes);
     let send_done = m.node_cpu_work(src, now, msg_cost, "net-send");
     let arrival = m.peer_transfer(send_done, src, dst, bytes);
     let send_span = span(
@@ -2566,7 +1673,7 @@ fn send_peer(
             dst,
             bytes,
             span: wire_span,
-            query: qid,
+            query: ctx.qid,
         },
     );
 }
@@ -2575,15 +1682,14 @@ fn send_peer(
 fn send_frontend(
     m: &mut Machine,
     q: &mut EvQ,
-    costs: &PhaseCosts,
+    ctx: &PhaseCtx,
     src: usize,
     now: SimTime,
     bytes: u64,
     spans: &mut Option<&mut SpanRt>,
     parent: SpanId,
-    qid: u32,
 ) {
-    let msg_cost = costs.msg_cost(m, bytes);
+    let msg_cost = ctx.costs.msg_cost(m, bytes);
     let send_done = m.node_cpu_work(src, now, msg_cost, "net-send");
     let arrival = m.fe_transfer(send_done, src, bytes);
     let send_span = span(
@@ -2611,7 +1717,7 @@ fn send_frontend(
         Ev::FeArrive {
             bytes,
             span: wire_span,
-            query: qid,
+            query: ctx.qid,
         },
     );
 }

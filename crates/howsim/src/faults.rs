@@ -247,7 +247,8 @@ impl FaultPlan {
     }
 }
 
-/// Parses `2.5s`, `750ms`, or a plain seconds number.
+/// Parses `2.5s`, `750ms`, or a plain seconds number, at most
+/// [`crate::workload::SPEC_HORIZON`].
 fn parse_time(s: &str) -> Option<Duration> {
     let (num, scale) = if let Some(ms) = s.strip_suffix("ms") {
         (ms, 1e-3)
@@ -257,10 +258,11 @@ fn parse_time(s: &str) -> Option<Duration> {
         (s, 1.0)
     };
     let value: f64 = num.parse().ok()?;
-    if !value.is_finite() || value < 0.0 {
+    let secs = value * scale;
+    if !secs.is_finite() || secs < 0.0 || secs > crate::workload::SPEC_HORIZON.as_secs_f64() {
         return None;
     }
-    Some(Duration::from_secs_f64(value * scale))
+    Some(Duration::from_secs_f64(secs))
 }
 
 /// What the system does about a fail-stopped node's unfinished work.

@@ -1,9 +1,12 @@
-//! Multi-query executor: many task plans interleaved deterministically on
-//! one shared [`Machine`], wrapped in an overload-robustness control plane.
+//! The discrete-event driver: every simulation is a set of queries
+//! interleaved deterministically on one shared [`Machine`], wrapped in an
+//! overload-robustness control plane. A solo run of one plan
+//! ([`Simulation::run_plan`], [`ExecRun`]) is the one-query closed
+//! workload; a loaded run ([`Simulation::run_workload`]) is many.
 //!
-//! The phase executor itself is the single-query state machine from
-//! [`crate::exec`] (`handle_ev`, `prepare_read`, `init_phase_nodes`) —
-//! this module adds the control plane around it:
+//! The phase executor itself is the state machine from [`crate::exec`]
+//! (`handle_ev`, `issue_read`, `init_phase_nodes`); this module owns the
+//! event loop and adds the control plane around it:
 //!
 //! - **Admission control** ([`AdmissionPolicy`]): at most `max_concurrent`
 //!   queries execute at once; up to `queue_limit` wait in FIFO order; any
@@ -17,50 +20,67 @@
 //!   the phases it completed preserved as a partial report.
 //! - **Fault interaction**: one global fault schedule drives the shared
 //!   machine; each running query observes a failure through its own
-//!   per-query recovery state, so a mid-load disk fault triggers the
-//!   PR 5 recovery policies for every query it touches without
-//!   corrupting the others.
+//!   recovery state, so a mid-load disk fault triggers the recovery
+//!   policies for every query it touches without corrupting the others.
+//!
+//! # Fault detection
+//!
+//! When a query learns that a disk fail-stopped depends on the entry
+//! point, never on a flag:
+//!
+//! - **Solo runs use the barrier rule.** A failure that surfaced before a
+//!   phase starts is known to every node at that phase's barrier (a
+//!   global sync point), and the fail-stop abort clock is checked there
+//!   too. Faults are applied at phase starts and on work-event pops.
+//! - **Workloads use the clock rule.** A failure is detected
+//!   `DETECT_TIMEOUT` after injection, for every query alike: there is no
+//!   machine-wide barrier under concurrent queries. Faults are applied on
+//!   every pop.
+//!
+//! A mid-phase failure is detected by clock under both rules.
 //!
 //! # Determinism
 //!
 //! Everything is driven by one event queue ordered by exact
-//! `(time, sequence)` — control events (admission, deadlines, retries)
-//! ride the same queue as disk and network completions, so the full
-//! interleaving is a pure function of the workload spec and seed. The
-//! report is byte-identical across `--jobs`, all four queue backends,
-//! and cache states.
+//! `(time, sequence)` — control events (admission, phase barriers,
+//! deadlines, retries) ride the same queue as disk and network
+//! completions, so the full interleaving is a pure function of the
+//! configuration and seed. Reports are byte-identical across `--jobs`,
+//! both queue backends, and cache states.
 //!
 //! # Simplifications (documented, deliberate)
 //!
 //! - The machine's per-phase extent allocators are shared: every query
-//!   phase start calls `begin_phase`, resetting the layout cursors
-//!   exactly as the single-query path does. Concurrent queries therefore
-//!   contend for disk arms, CPU, and links but not for disk capacity
-//!   layout; a one-query workload is bit-identical to `run_plan`.
+//!   phase start calls `begin_phase`, resetting the layout cursors.
+//!   Concurrent queries therefore contend for disk arms, CPU, and links
+//!   but not for disk capacity layout.
 //! - A query in backoff keeps its admission slot until it finishes: its
 //!   stale in-flight events must drain from the shared machine before the
 //!   retry restarts, and modelling the slot as released mid-drain would
 //!   let the admission gate overcommit the machine.
-//! - Fault detection under load is clock-based (`DETECT_TIMEOUT` after
-//!   injection) for every query, whereas an idle single-query run may
-//!   observe a pre-phase fault at its barrier; faulted loaded runs are
-//!   deterministic but not required to match a faulted solo run.
 
+use std::borrow::Cow;
 use std::collections::VecDeque;
 
 use simcore::span::{SpanId, SpanKind, FRONT_END_NODE};
-use simcore::{Duration, EventQueue, SimTime, SplitMix64};
-use tasks::plan::TaskPlan;
+use simcore::{
+    Duration, EventQueue, QueueSnapshot, SimTime, SplitMix64, StateError, StateReader, StateWriter,
+};
+use tasks::plan::{PhasePlan, TaskPlan};
 use tasks::{plan_task, TaskKind};
 
+use crate::codec;
 use crate::exec::{
-    handle_ev, init_phase_nodes, phase_region, phase_writes, prepare_read, Ev, EvQ, FaultRt,
-    NodeState, PhaseCosts, PhaseCtx, Simulation, SpanRt, BARRIER_RESOURCE, POSITIONING_RESOURCE,
+    encode_ev, handle_ev, init_phase_nodes, issue_read, load_node_state, parse_timed_ev,
+    phase_region, phase_writes, save_node_state, Ev, EvQ, FaultRt, NodeState, PhaseCosts, PhaseCtx,
+    PhaseSnapshot, Simulation, SpanRt, BARRIER_RESOURCE, POSITIONING_RESOURCE,
 };
 use crate::faults::{FaultPlan, RecoveryPolicy, DETECT_TIMEOUT};
 use crate::machine::Machine;
 use crate::metrics::MetricsBuilder;
-use crate::profile::{LoadSpanTrace, PhaseSpans, QuerySpans};
+use crate::profile::{LoadSpanTrace, PhaseSpans, QuerySpans, SpanTrace};
+use crate::report::{PhaseReport, Report};
+use crate::trace::Trace;
 use crate::workload::{AdmissionPolicy, ArrivalProcess, DeadlinePolicy, WorkloadSpec};
 
 /// Terminal status of one query in a loaded run.
@@ -257,11 +277,36 @@ enum QState {
     Done,
 }
 
-/// Per-query executor state: the single-query locals of `run_phase`,
-/// lifted into a struct so many queries can hold a phase open at once.
+impl QState {
+    /// Every state, in discriminant (checkpoint-code) order.
+    const ALL: [QState; 5] = [
+        QState::Pending,
+        QState::Waiting,
+        QState::Running,
+        QState::AwaitRetry,
+        QState::Done,
+    ];
+}
+
+/// When a query learns that a disk fail-stopped (see the module docs).
+/// Chosen by the entry point: solo runs use `Barrier`, workloads `Clock`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Detection {
+    /// Failures surfacing before a phase starts are detected at its
+    /// barrier. The single query's recovery view is the machine-wide
+    /// fault runtime itself (there is nothing to keep apart), so the
+    /// abort clock and any no-survivor abort are observed exactly where
+    /// the query sees them.
+    Barrier,
+    /// Failures are detected `DETECT_TIMEOUT` after injection, through
+    /// each query's own recovery view.
+    Clock,
+}
+
+/// Per-query executor state: the phase executor's locals lifted into a
+/// struct so many queries can hold a phase open at once.
 #[derive(Clone)]
 struct QueryRun {
-    task: TaskKind,
     plan_ix: usize,
     arrival: SimTime,
     started: Option<SimTime>,
@@ -269,11 +314,11 @@ struct QueryRun {
     phase_ix: usize,
     nodes: Vec<NodeState>,
     costs: Option<PhaseCosts>,
-    /// Per-query recovery view (empty fault schedule; the global
-    /// schedule in [`Mq::fs`] drives the shared machine).
-    fr: FaultRt,
     horizon: SimTime,
     phase_start: SimTime,
+    /// Machine counters at the current phase's start, for the phase's
+    /// report deltas.
+    before: PhaseSnapshot,
     state: QState,
     status: QueryStatus,
     retry_armed: bool,
@@ -281,7 +326,9 @@ struct QueryRun {
     timeouts: u32,
     finished: SimTime,
     events: u64,
-    phases_done: Vec<QueryPhase>,
+    /// Phases the current attempt completed (plus, for a solo run, the
+    /// phase it aborted in).
+    phases: Vec<PhaseReport>,
     /// Saved span-chain anchors, swapped into the shared [`SpanRt`]
     /// whenever this query's events are handled.
     span_last: SpanId,
@@ -289,24 +336,72 @@ struct QueryRun {
     phase_spans: Vec<PhaseSpans>,
 }
 
-/// The multi-query driver: one shared machine, one event queue, N query
-/// state machines. `Clone` is the fork primitive: a warm prefix is
-/// cloned once per what-if continuation (see [`WarmStart`]).
+impl QueryRun {
+    fn new(plan_ix: usize, arrival: SimTime) -> Self {
+        QueryRun {
+            plan_ix,
+            arrival,
+            started: None,
+            attempt: 0,
+            phase_ix: 0,
+            nodes: Vec::new(),
+            costs: None,
+            horizon: SimTime::ZERO,
+            phase_start: SimTime::ZERO,
+            before: PhaseSnapshot::default(),
+            state: QState::Pending,
+            status: QueryStatus::Completed,
+            retry_armed: false,
+            retries: 0,
+            timeouts: 0,
+            finished: SimTime::ZERO,
+            events: 0,
+            phases: Vec::new(),
+            span_last: SpanId::NONE,
+            span_last_end: SimTime::ZERO,
+            phase_spans: Vec::new(),
+        }
+    }
+
+    /// The handler context of this query's open phase `phase`.
+    fn ctx<'a>(&'a mut self, phase: &'a PhasePlan, window: u64, qid: usize) -> PhaseCtx<'a> {
+        PhaseCtx {
+            phase,
+            costs: self.costs.as_ref().expect("phase opened"),
+            nodes: &mut self.nodes,
+            horizon: &mut self.horizon,
+            region: phase_region(phase),
+            phase_writes: phase_writes(phase),
+            phase_ix: self.phase_ix,
+            window,
+            qid: qid as u32,
+        }
+    }
+}
+
+/// The event driver: one shared machine, one event queue, N query state
+/// machines. `Clone` is the fork primitive: a paused run is cloned once
+/// per what-if continuation (see [`ExecRun`] and [`WarmStart`]).
 #[derive(Clone)]
-struct Mq {
+pub(crate) struct Mq<'p> {
     machine: Machine,
     q: EventQueue<Ev>,
     runs: Vec<QueryRun>,
-    plans: Vec<TaskPlan>,
+    plans: Vec<Cow<'p, TaskPlan>>,
     /// Task kind of each entry in `plans`, so [`WarmStart::extend`] can
-    /// reuse plans for kinds the warmup already planned.
-    kinds: Vec<TaskKind>,
+    /// reuse plans for kinds the warmup already planned (`None` for the
+    /// explicit plan of a solo run).
+    kinds: Vec<Option<TaskKind>>,
     /// In-flight work events per query — the phase-completion gate.
     outstanding: Vec<u64>,
     /// Global fault schedule driving the shared machine.
     fs: FaultRt,
+    /// Per-query recovery views under the clock rule (empty fault
+    /// schedules; `fs` drives the machine). Empty under the barrier rule.
+    views: Vec<FaultRt>,
     /// Per-node detection clock (fault time + `DETECT_TIMEOUT`).
     detect_at: Vec<Option<SimTime>>,
+    detection: Detection,
     adm: AdmissionPolicy,
     dl: DeadlinePolicy,
     running: usize,
@@ -325,51 +420,204 @@ struct Mq {
     /// Set by a global fail-stop abort: every query is terminal and the
     /// remaining queue contents are stale, so `step` must not resume.
     halted: bool,
+    /// Work events popped, including a stashed one and one that crossed
+    /// the abort clock: a solo report's event count.
+    work_popped: u64,
 }
 
-impl Mq {
-    fn run_loop(&mut self, metrics: &mut Option<&mut MetricsBuilder>) {
-        self.step(None, metrics);
+impl<'p> Mq<'p> {
+    /// An idle driver on a fresh machine configured by `sim`, sized for
+    /// `queries` queries.
+    fn new(
+        sim: &Simulation,
+        detection: Detection,
+        adm: AdmissionPolicy,
+        dl: DeadlinePolicy,
+        queries: usize,
+        profiled: bool,
+    ) -> Self {
+        let mut machine = Machine::new(sim.architecture());
+        for &(node, count) in sim.degraded_disks() {
+            machine.degrade_disk(node, count);
+        }
+        let n = machine.nodes();
+        // Steady state: every running query holds a full read window per
+        // node plus its fan-out, and each query owns at most one control
+        // event of each kind.
+        let cap = adm.max_concurrent.min(queries) * n * (machine.window() + 4) + 2 * queries + 64;
+        Mq {
+            q: EventQueue::with_backend_capacity(sim.queue_backend(), cap),
+            fs: FaultRt::new(sim.fault_plan(), sim.recovery_policy(), sim.seed(), n),
+            views: Vec::new(),
+            detect_at: vec![None; n],
+            machine,
+            runs: Vec::new(),
+            plans: Vec::new(),
+            kinds: Vec::new(),
+            outstanding: Vec::new(),
+            detection,
+            adm,
+            dl,
+            running: 0,
+            waiting: VecDeque::new(),
+            next_closed: 0,
+            closed: false,
+            // Decorrelate the backoff jitter stream from the machine's
+            // seeded models without a second seed knob.
+            backoff_rng: SplitMix64::new(sim.seed() ^ 0x9E37_79B9_7F4A_7C15),
+            spans: profiled.then(SpanRt::new),
+            pending: None,
+            clock: SimTime::ZERO,
+            halted: false,
+            work_popped: 0,
+        }
+    }
+
+    /// The one-query closed workload of a solo run of `plan`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the plan fails validation.
+    fn solo(sim: &Simulation, plan: &'p TaskPlan, profiled: bool) -> Self {
+        plan.validate().expect("invalid task plan");
+        let mut mq = Mq::new(
+            sim,
+            Detection::Barrier,
+            AdmissionPolicy::default(),
+            DeadlinePolicy::default(),
+            1,
+            profiled,
+        );
+        mq.plans.push(Cow::Borrowed(plan));
+        mq.kinds.push(None);
+        mq.push_query(sim, 0, SimTime::ZERO);
+        mq.admit_from(0, ArrivalProcess::Closed { clients: 1 });
+        mq
+    }
+
+    /// Appends one pending query of plan `plan_ix` arriving at `arrival`.
+    fn push_query(&mut self, sim: &Simulation, plan_ix: usize, arrival: SimTime) {
+        if self.detection == Detection::Clock {
+            self.views.push(FaultRt::new(
+                &FaultPlan::new(),
+                sim.recovery_policy(),
+                sim.seed(),
+                self.machine.nodes(),
+            ));
+        }
+        self.runs.push(QueryRun::new(plan_ix, arrival));
+        self.outstanding.push(0);
+    }
+
+    /// Appends `spec`'s queries with every arrival shifted by `shift`,
+    /// planning each task kind on first use, and queues their admission.
+    fn push_workload(&mut self, sim: &Simulation, spec: &WorkloadSpec, shift: Duration) {
+        let base = self.runs.len();
+        for (task, at) in spec.tasks().into_iter().zip(spec.arrival_times()) {
+            let plan_ix = match self.kinds.iter().position(|&k| k == Some(task)) {
+                Some(ix) => ix,
+                None => {
+                    let plan = plan_task(task, sim.architecture());
+                    plan.validate().expect("invalid task plan");
+                    self.plans.push(Cow::Owned(plan));
+                    self.kinds.push(Some(task));
+                    self.kinds.len() - 1
+                }
+            };
+            self.push_query(sim, plan_ix, at + shift);
+        }
+        self.admit_from(base, spec.arrival);
+    }
+
+    /// Queues the admission of queries `base..`: every Poisson arrival at
+    /// its clock, or the first `clients` closed-loop queries (the rest are
+    /// issued as queries finish).
+    fn admit_from(&mut self, base: usize, arrival: ArrivalProcess) {
+        let end = match arrival {
+            ArrivalProcess::Poisson { .. } => self.runs.len(),
+            ArrivalProcess::Closed { clients } => self.runs.len().min(base + clients as usize),
+        };
+        for qid in base..end {
+            self.q
+                .push(self.runs[qid].arrival, Ev::Admit { query: qid as u32 });
+        }
+        self.next_closed = end;
+        self.closed = matches!(arrival, ArrivalProcess::Closed { .. });
+    }
+
+    /// The recovery view query `qid` acts on (see [`Detection`]), as an
+    /// associated function so callers keep their other field borrows.
+    fn view<'a>(
+        detection: Detection,
+        fs: &'a mut FaultRt,
+        views: &'a mut [FaultRt],
+        qid: usize,
+    ) -> &'a mut FaultRt {
+        match detection {
+            Detection::Barrier => fs,
+            Detection::Clock => &mut views[qid],
+        }
     }
 
     /// Processes events strictly before `limit` (all of them when
-    /// `limit` is `None`). Returns `false` when paused at the limit with
-    /// the boundary event stashed in `self.pending`, `true` when the
-    /// queue drained.
-    fn step(&mut self, limit: Option<SimTime>, metrics: &mut Option<&mut MetricsBuilder>) -> bool {
+    /// `limit` is `None`); a paused run stashes the boundary event in
+    /// `self.pending`. The only place the event queue is popped.
+    fn step(
+        &mut self,
+        limit: Option<SimTime>,
+        trace: &mut Option<&mut Trace>,
+        metrics: &mut Option<&mut MetricsBuilder>,
+    ) {
         if self.halted {
-            return true;
+            return;
         }
-        while let Some((now, ev)) = self.pending.take().or_else(|| self.q.pop()) {
-            if let Some(l) = limit {
-                if now >= l {
-                    self.pending = Some((now, ev));
-                    return false;
-                }
+        loop {
+            let (fresh, (now, ev)) = match self.pending.take() {
+                Some(next) => (false, next),
+                None => match self.q.pop() {
+                    Some(next) => (true, next),
+                    None => break,
+                },
+            };
+            let work = ev.work_query();
+            self.work_popped += u64::from(fresh && work.is_some());
+            if limit.is_some_and(|l| now >= l) {
+                self.pending = Some((now, ev));
+                return;
             }
             self.clock = now;
-            if self.fs.pending() {
-                self.apply_global_faults(now);
-            }
-            if let Some(abort) = self.fs.abort_at {
-                if now >= abort {
-                    self.abort_all(abort);
-                    return true;
+            // Under the barrier rule, faults due at a control event are
+            // the next phase start's business.
+            if work.is_some() || self.detection == Detection::Clock {
+                if self.fs.pending() {
+                    self.apply_faults(now, false);
+                }
+                if let Some(abort) = self.fs.abort_at {
+                    if now >= abort {
+                        self.abort_all(abort);
+                        return;
+                    }
                 }
             }
-            if let Some(mb) = metrics.as_deref_mut() {
-                if mb.due(now) {
-                    mb.sample(now, &self.machine.resource_usage(), self.q.len());
+            match (work, ev) {
+                (Some(qid), ev) => {
+                    // Metrics-off cost: one `Option` check per work event.
+                    if let Some(mb) = metrics.as_deref_mut() {
+                        if mb.due(now) {
+                            mb.sample(now, &self.machine.resource_usage(), self.q.len());
+                        }
+                    }
+                    self.on_work(now, qid as usize, ev, trace);
                 }
-            }
-            match ev {
-                Ev::Admit { query } => self.on_admit(query as usize, now),
-                Ev::PhaseStart { query, attempt } => {
+                (None, Ev::Admit { query }) => self.on_admit(query as usize, now),
+                (None, Ev::PhaseStart { query, attempt }) => {
                     self.on_phase_start(query as usize, attempt, now)
                 }
-                Ev::Deadline { query, attempt } => self.on_deadline(query as usize, attempt, now),
-                Ev::Retry { query } => self.on_retry(query as usize, now),
-                ev => self.on_work(now, ev),
+                (None, Ev::Deadline { query, attempt }) => {
+                    self.on_deadline(query as usize, attempt, now)
+                }
+                (None, Ev::Retry { query }) => self.on_retry(query as usize, now),
+                (None, _) => unreachable!("work events carry a query"),
             }
         }
         // Fail-stop abort clock beyond the last event: the queue drained
@@ -381,14 +629,14 @@ impl Mq {
             self.runs.iter().all(|r| r.state == QState::Done),
             "event queue drained with live queries"
         );
-        true
     }
 
     /// Applies globally-scheduled faults due at or before `now` to the
-    /// shared machine, then fans the damage out to every running query's
-    /// recovery view.
-    fn apply_global_faults(&mut self, now: SimTime) {
-        while self.fs.next < self.fs.events.len() {
+    /// shared machine. At a phase barrier (`at_barrier`, barrier rule) a
+    /// fail-stop is detected on the spot; otherwise the damage fans out
+    /// to every running query's recovery view, which detects it by clock.
+    fn apply_faults(&mut self, now: SimTime, at_barrier: bool) {
+        while self.fs.pending() {
             let ev = self.fs.events[self.fs.next];
             let t = SimTime::ZERO + ev.at;
             if t > now {
@@ -398,38 +646,40 @@ impl Mq {
             let Some(node) = self.fs.apply_machine(&mut self.machine, ev, t) else {
                 continue;
             };
-            // A whole-disk loss: survivors detect it DETECT_TIMEOUT after
-            // injection, for every query alike.
+            if at_barrier {
+                self.fs.detected[node] = true;
+                continue;
+            }
             let detect = t + DETECT_TIMEOUT;
             self.detect_at[node] = Some(detect);
             for qid in 0..self.runs.len() {
-                let run = &mut self.runs[qid];
-                if run.state != QState::Running {
+                if self.runs[qid].state != QState::Running {
                     continue;
                 }
-                run.fr.any_dead = true;
+                let run = &mut self.runs[qid];
+                let fr = Self::view(self.detection, &mut self.fs, &mut self.views, qid);
+                fr.any_dead = true;
                 let st = &mut run.nodes[node];
                 if st.dead {
                     continue;
                 }
                 st.dead = true;
                 // Pool the batches the dead node had not issued yet plus
-                // any recovery work it had been assigned — exactly the
-                // single-query mid-phase teardown.
+                // any recovery work it had been assigned.
                 for j in st.issued..st.own_batches {
                     let bytes = if j == st.own_batches - 1 {
                         st.last_batch_bytes
                     } else {
                         crate::BATCH_BYTES
                     };
-                    run.fr.pool.push((node, bytes));
+                    fr.pool.push((node, bytes));
                 }
                 while let Some(bytes) = st.recovery_pending.pop_front() {
-                    run.fr.pool.push((node, bytes));
+                    fr.pool.push((node, bytes));
                 }
                 st.batches_total = st.issued;
                 st.own_batches = st.issued;
-                if run.fr.policy != RecoveryPolicy::FailStop {
+                if fr.policy != RecoveryPolicy::FailStop {
                     self.outstanding[qid] += 1;
                     self.q.push(
                         detect.max(now),
@@ -442,16 +692,47 @@ impl Mq {
             }
         }
     }
+}
 
-    /// Terminates every live query at the global fail-stop abort clock.
+impl Mq<'_> {
+    /// Terminates every live query at the global abort clock. A solo run
+    /// (barrier rule) reports the phase it was cut short in, ending at
+    /// `abort`.
     fn abort_all(&mut self, abort: SimTime) {
         self.halted = true;
+        let nodes = self.machine.nodes();
         for run in &mut self.runs {
-            if run.state != QState::Done {
-                run.state = QState::Done;
-                run.status = QueryStatus::Aborted;
-                run.finished = abort.max(run.arrival);
+            if run.state == QState::Done {
+                continue;
             }
+            if self.detection == Detection::Barrier && run.state == QState::Running {
+                let name = self.plans[run.plan_ix].phases[run.phase_ix].name;
+                let after = PhaseSnapshot::take(&self.machine);
+                let elapsed = abort.since(run.phase_start);
+                run.phases
+                    .push(run.before.delta(&after, name, elapsed, nodes));
+                if self.spans.is_some() {
+                    run.phase_spans.push(PhaseSpans {
+                        name,
+                        start: run.phase_start,
+                        end: abort,
+                        anchor: run.span_last,
+                    });
+                }
+            }
+            run.state = QState::Done;
+            run.status = QueryStatus::Aborted;
+            run.finished = abort.max(run.arrival);
+        }
+    }
+
+    /// Ends query `qid` at `at` because the machine cannot run it: the
+    /// whole run under the barrier rule, just the query under the clock
+    /// rule.
+    fn abort_query(&mut self, qid: usize, at: SimTime) {
+        match self.detection {
+            Detection::Barrier => self.abort_all(at),
+            Detection::Clock => self.finalize(qid, QueryStatus::Aborted, at),
         }
     }
 
@@ -496,7 +777,7 @@ impl Mq {
         run.state = QState::Running;
         run.started = run.started.or(Some(at));
         run.phase_ix = 0;
-        run.phases_done.clear();
+        run.phases.clear();
         run.phase_spans.clear();
         if run.attempt > 0 {
             if let Some(d) = self.dl.deadline {
@@ -513,82 +794,90 @@ impl Mq {
     }
 
     /// Opens phase `runs[qid].phase_ix` on the shared machine and primes
-    /// its read pipeline — the phase-setup half of `run_phase`.
+    /// its read pipeline.
     fn start_phase(&mut self, qid: usize, at: SimTime) {
         let n = self.machine.nodes();
-        if self.machine.failed_count() == n {
-            self.finalize(qid, QueryStatus::Aborted, at);
+        let barrier = self.detection == Detection::Barrier;
+        let run = &mut self.runs[qid];
+        let phase = &self.plans[run.plan_ix].phases[run.phase_ix];
+        let region = phase_region(phase);
+        self.machine.begin_phase(region);
+        run.phase_start = at;
+        run.horizon = at;
+        run.span_last = SpanId::NONE;
+        run.span_last_end = at;
+        run.before = PhaseSnapshot::take(&self.machine);
+        if barrier {
+            // Faults due at or before the barrier strike before any work
+            // starts, and every node already knows about them.
+            self.apply_faults(at, true);
+        }
+        let abort_at = if barrier { self.fs.abort_at } else { None };
+        if self.machine.failed_count() == n || abort_at.is_some_and(|t| t <= at) {
+            self.abort_query(qid, abort_at.map_or(at, |t| t.max(at)));
             return;
         }
         let run = &mut self.runs[qid];
         let phase = &self.plans[run.plan_ix].phases[run.phase_ix];
-        let region = phase_region(phase);
-        let writes = phase_writes(phase);
-        self.machine.begin_phase(region);
-        run.phase_start = at;
-        run.horizon = at;
-        // Sync this query's failure view with the shared machine: a
-        // failure is detected here once its detection clock has passed
-        // (phase starts are per-query sync points, like barriers in the
-        // single-query path).
-        run.fr.any_dead = self.machine.failed_count() > 0;
-        for i in 0..n {
-            run.fr.detected[i] =
-                self.machine.disk_failed(i) && self.detect_at[i].is_some_and(|t| t <= at);
+        let fr = Self::view(self.detection, &mut self.fs, &mut self.views, qid);
+        if !barrier {
+            // Sync the query's failure view with the shared machine: a
+            // failure is detected here once its detection clock has
+            // passed.
+            fr.any_dead = self.machine.failed_count() > 0;
+            for i in 0..n {
+                fr.detected[i] =
+                    self.machine.disk_failed(i) && self.detect_at[i].is_some_and(|t| t <= at);
+            }
         }
-        let (nodes, abort) = init_phase_nodes(&self.machine, phase, &mut run.fr, at);
+        let (nodes, abort) = init_phase_nodes(&self.machine, phase, fr, at);
         run.nodes = nodes;
         if let Some(t) = abort {
-            self.finalize(qid, QueryStatus::Aborted, t);
+            self.abort_query(qid, t);
             return;
         }
         run.costs = Some(PhaseCosts::new(&self.machine, phase));
-        if let Some(rt) = self.spans.as_mut() {
+        let mut sp = self.spans.as_mut();
+        if let Some(rt) = sp.as_deref_mut() {
             rt.last = SpanId::NONE;
             rt.last_end = at;
             rt.arena.set_query(qid as u32);
         }
         let window = self.machine.window() as u64;
-        let policy = run.fr.policy;
-        let mut sp = self.spans.as_mut();
-        {
-            let mut evq = EvQ {
-                q: &mut self.q,
-                counts: Some(&mut self.outstanding),
-            };
-            for node in 0..n {
-                let to_issue = window.min(run.nodes[node].batches_total);
-                for _ in 0..to_issue {
-                    if let Some((t, ev)) = prepare_read(
-                        &mut self.machine,
-                        &mut run.nodes,
-                        node,
-                        at,
-                        region,
-                        writes,
-                        policy,
-                        &mut sp,
-                        SpanId::NONE,
-                        qid as u32,
-                    ) {
-                        evq.push(t, ev);
-                    }
-                }
+        let policy = fr.policy;
+        let mut evq = EvQ {
+            q: &mut self.q,
+            outstanding: &mut self.outstanding[qid],
+        };
+        let mut ctx = run.ctx(phase, window, qid);
+        for node in 0..n {
+            for _ in 0..window.min(ctx.nodes[node].batches_total) {
+                issue_read(
+                    &mut self.machine,
+                    &mut evq,
+                    &mut ctx,
+                    node,
+                    at,
+                    policy,
+                    &mut sp,
+                    SpanId::NONE,
+                );
             }
-            // Failures not yet detected at this phase's start get their
-            // recovery kick at the detection clock.
-            if run.fr.any_dead && policy != RecoveryPolicy::FailStop {
-                for i in 0..n {
-                    if self.machine.disk_failed(i) && !run.fr.detected[i] {
-                        if let Some(t) = self.detect_at[i] {
-                            evq.push(
-                                t.max(at),
-                                Ev::RecoveryKick {
-                                    node: i,
-                                    query: qid as u32,
-                                },
-                            );
-                        }
+        }
+        // Failures not yet detected at this phase's start get their
+        // recovery kick at the detection clock (none under the barrier
+        // rule, which has detected every failure by now).
+        if fr.any_dead && policy != RecoveryPolicy::FailStop {
+            for i in 0..n {
+                if self.machine.disk_failed(i) && !fr.detected[i] {
+                    if let Some(t) = self.detect_at[i] {
+                        evq.push(
+                            t.max(at),
+                            Ev::RecoveryKick {
+                                node: i,
+                                query: qid as u32,
+                            },
+                        );
                     }
                 }
             }
@@ -599,13 +888,12 @@ impl Mq {
         }
         if self.outstanding[qid] == 0 {
             // Degenerate phase (nothing to read): complete immediately.
-            self.complete_phase(qid, at);
+            self.complete_phase(qid);
         }
     }
 
-    /// Handles one popped work event for its owning query.
-    fn on_work(&mut self, now: SimTime, ev: Ev) {
-        let qid = ev.work_query().expect("work event carries a query") as usize;
+    /// Handles one popped work event for its owning query `qid`.
+    fn on_work(&mut self, now: SimTime, qid: usize, ev: Ev, trace: &mut Option<&mut Trace>) {
         self.outstanding[qid] -= 1;
         let run = &mut self.runs[qid];
         run.events += 1;
@@ -618,28 +906,17 @@ impl Mq {
                     rt.arena.set_query(qid as u32);
                 }
                 let phase = &self.plans[run.plan_ix].phases[run.phase_ix];
-                let window = self.machine.window() as u64;
-                let mut ctx = PhaseCtx {
-                    phase,
-                    costs: run.costs.as_ref().expect("phase opened"),
-                    nodes: &mut run.nodes,
-                    horizon: &mut run.horizon,
-                    region: phase_region(phase),
-                    phase_writes: phase_writes(phase),
-                    phase_ix: run.phase_ix,
-                    window,
-                    qid: qid as u32,
-                };
+                let mut ctx = run.ctx(phase, self.machine.window() as u64, qid);
                 let mut sp = self.spans.as_mut();
                 handle_ev(
                     &mut self.machine,
                     &mut EvQ {
                         q: &mut self.q,
-                        counts: Some(&mut self.outstanding),
+                        outstanding: &mut self.outstanding[qid],
                     },
                     &mut ctx,
-                    &mut run.fr,
-                    &mut None,
+                    Self::view(self.detection, &mut self.fs, &mut self.views, qid),
+                    trace,
                     &mut sp,
                     now,
                     ev,
@@ -649,7 +926,7 @@ impl Mq {
                     run.span_last_end = rt.last_end;
                 }
                 if self.outstanding[qid] == 0 {
-                    self.complete_phase(qid, now);
+                    self.complete_phase(qid);
                 }
             }
             QState::AwaitRetry => {
@@ -670,21 +947,36 @@ impl Mq {
         }
     }
 
-    /// Closes the current phase: positioning tail, barrier, and the
-    /// `PhaseStart` control event that opens the next phase (or finishes
-    /// the plan) — the phase-teardown half of `run_phase`.
-    fn complete_phase(&mut self, qid: usize, _now: SimTime) {
+    /// Closes the current phase: positioning tail, barrier, the phase
+    /// report, and the `PhaseStart` control event that opens the next
+    /// phase (or finishes the plan).
+    fn complete_phase(&mut self, qid: usize) {
+        if self.detection == Detection::Barrier {
+            // The survivors drained their queues, but a pending abort
+            // clock means the failed partition was never re-read: the run
+            // still aborts there.
+            if let Some(abort) = self.fs.abort_at {
+                self.abort_all(abort);
+                return;
+            }
+        }
+        let nodes = self.machine.nodes();
         let run = &mut self.runs[qid];
         let phase = &self.plans[run.plan_ix].phases[run.phase_ix];
-        // Byte conservation per query, exactly as in the solo path.
+        // Byte conservation: the nodes together must have issued exactly
+        // the plan's read bytes — the per-node split drops nothing, and
+        // recovery re-issues every batch a failed node left behind.
         let issued: u64 = run.nodes.iter().map(|s| s.issued_bytes).sum();
         assert_eq!(
             issued, phase.read_bytes_total,
             "query {qid} phase '{}' issued {issued} B of {} B planned",
             phase.name, phase.read_bytes_total
         );
+        // Out-of-band disk positioning penalty (e.g. merge run switches):
+        // per-node and overlapped across nodes, so it extends the phase
+        // once. Every phase boundary is then a global barrier.
         let end = run.horizon + phase.extra_disk_busy_per_node;
-        let barrier_end = end + self.machine.barrier_costs().barrier(self.machine.nodes());
+        let barrier_end = end + self.machine.barrier_costs().barrier(nodes);
         if let Some(rt) = self.spans.as_mut() {
             rt.last = run.span_last;
             rt.last_end = run.span_last_end;
@@ -701,6 +993,8 @@ impl Mq {
                     0,
                 );
             }
+            // The barrier span chains onto the phase's last span, making
+            // it the critical-path anchor.
             let parent = rt.last;
             rt.record(
                 parent,
@@ -720,10 +1014,10 @@ impl Mq {
             run.span_last = rt.last;
             run.span_last_end = rt.last_end;
         }
-        run.phases_done.push(QueryPhase {
-            name: phase.name,
-            elapsed: barrier_end.since(run.phase_start),
-        });
+        let after = PhaseSnapshot::take(&self.machine);
+        let elapsed = barrier_end.since(run.phase_start);
+        run.phases
+            .push(run.before.delta(&after, phase.name, elapsed, nodes));
         run.phase_ix += 1;
         let attempt = run.attempt;
         self.q.push(
@@ -820,6 +1114,226 @@ impl Mq {
     }
 }
 
+impl Mq<'_> {
+    /// The solo query (see [`Mq::solo`]).
+    fn solo_run(&self) -> &QueryRun {
+        debug_assert_eq!(self.detection, Detection::Barrier);
+        &self.runs[0]
+    }
+
+    /// Builds a finished solo run's report (and span trace, when
+    /// profiled).
+    fn into_report(self, sim: &Simulation) -> (Report, Option<SpanTrace>) {
+        debug_assert_eq!(self.detection, Detection::Barrier);
+        let run = self
+            .runs
+            .into_iter()
+            .next()
+            .expect("a solo run has one query");
+        debug_assert_eq!(run.state, QState::Done, "report of an unfinished run");
+        let report = Report {
+            task: self.plans[run.plan_ix].task,
+            architecture: sim.architecture().short_name(),
+            disks: self.machine.nodes(),
+            phases: run.phases,
+            disk_service: self.machine.disk_service_histogram(),
+            events: self.work_popped,
+            faults_injected: self.fs.injected,
+            recovery_time: self.machine.recovery_busy(),
+            work_redistributed: self.machine.work_redistributed(),
+            aborted: run.status == QueryStatus::Aborted,
+            downtime: self.machine.disk_downtime(run.finished),
+        };
+        let spans = self.spans.map(|rt| SpanTrace {
+            arena: rt.arena,
+            phases: run.phase_spans,
+        });
+        (report, spans)
+    }
+
+    /// Serializes the driver's dynamic state — clock, machine, fault
+    /// runtimes, the live event queue and pending event, admission
+    /// bookkeeping, and every query's progress — in the exact-integer
+    /// state codec. Configuration (plans, policies, detection rule) and
+    /// per-batch costs are rebuilt on load, never stored.
+    fn save_state(&self, w: &mut StateWriter) {
+        w.field("clock_ns", self.clock.as_nanos());
+        w.field("work_popped", self.work_popped);
+        w.field("halted", u8::from(self.halted));
+        self.machine.save_state(w);
+        self.fs.save_state(w);
+        match &self.pending {
+            Some((t, ev)) => {
+                w.field("pending", 1u8);
+                w.str_field("pending_ev", &format!("{} {}", t.as_nanos(), encode_ev(ev)));
+            }
+            None => w.field("pending", 0u8),
+        }
+        let snap = self.q.snapshot();
+        w.field("q_popped", snap.popped);
+        w.field("q_last_ns", snap.last_popped.as_nanos());
+        w.field("q_len", snap.events.len());
+        for (t, ev) in &snap.events {
+            w.str_field("qe", &format!("{} {}", t.as_nanos(), encode_ev(ev)));
+        }
+        w.list(
+            "detect_set",
+            self.detect_at.iter().map(|d| u8::from(d.is_some())),
+        );
+        w.list(
+            "detect_ns",
+            self.detect_at
+                .iter()
+                .map(|d| d.unwrap_or_default().as_nanos()),
+        );
+        w.field("running", self.running);
+        w.list("waiting", self.waiting.iter().copied());
+        w.field("next_closed", self.next_closed);
+        w.field("closed", u8::from(self.closed));
+        w.field("backoff_rng", self.backoff_rng.state());
+        w.field("queries", self.runs.len());
+        for (qid, run) in self.runs.iter().enumerate() {
+            w.list(
+                "query",
+                [
+                    run.plan_ix as u64,
+                    run.arrival.as_nanos(),
+                    u64::from(run.started.is_some()),
+                    run.started.unwrap_or_default().as_nanos(),
+                    u64::from(run.attempt),
+                    run.phase_ix as u64,
+                    QState::ALL
+                        .iter()
+                        .position(|&s| s == run.state)
+                        .unwrap_or(0) as u64,
+                    u64::from(run.retry_armed),
+                    u64::from(run.retries),
+                    u64::from(run.timeouts),
+                    run.finished.as_nanos(),
+                    run.events,
+                    run.horizon.as_nanos(),
+                    run.phase_start.as_nanos(),
+                    self.outstanding[qid],
+                ],
+            );
+            w.str_field("status", run.status.name());
+            if let Some(fr) = self.views.get(qid) {
+                fr.save_state(w);
+            }
+            w.field("nodes_n", run.nodes.len());
+            for st in &run.nodes {
+                save_node_state(st, w);
+            }
+            run.before.save_state(w);
+            w.field("phases_done", run.phases.len());
+            for p in &run.phases {
+                codec::save_phase_report(p, w);
+            }
+        }
+    }
+
+    /// Restores [`Mq::save_state`] output into a driver freshly built
+    /// for the same configuration. The restored queue is rebuilt for this
+    /// driver's backend and replays the saved pop order exactly, so a
+    /// checkpoint taken under one backend resumes bit-identically under
+    /// any other. Inconsistent state is an error, never a panic.
+    fn load_state(&mut self, r: &mut StateReader<'_>) -> Result<(), StateError> {
+        let bad = StateError::new;
+        self.clock = SimTime::from_nanos(r.num("clock_ns")?);
+        self.work_popped = r.num("work_popped")?;
+        self.halted = r.flag("halted")?;
+        self.machine.load_state(r)?;
+        self.fs.load_state(r)?;
+        self.pending = if r.flag("pending")? {
+            Some(parse_timed_ev(r.field("pending_ev")?)?)
+        } else {
+            None
+        };
+        let popped: u64 = r.num("q_popped")?;
+        let last_popped = SimTime::from_nanos(r.num("q_last_ns")?);
+        let qlen: usize = r.num("q_len")?;
+        let events = (0..qlen)
+            .map(|_| parse_timed_ev(r.field("qe")?))
+            .collect::<Result<_, _>>()?;
+        self.q = EventQueue::with_backend_capacity(self.q.backend(), self.q.capacity());
+        self.q.load_snapshot(QueueSnapshot {
+            events,
+            popped,
+            last_popped,
+        });
+        let n = self.machine.nodes();
+        let set: Vec<u8> = r.nums("detect_set")?;
+        let ns: Vec<u64> = r.nums("detect_ns")?;
+        if set.len() != n || ns.len() != n {
+            return Err(bad("detection-clock count mismatch"));
+        }
+        self.detect_at = set
+            .iter()
+            .zip(ns)
+            .map(|(&s, t)| (s != 0).then(|| SimTime::from_nanos(t)))
+            .collect();
+        self.running = r.num("running")?;
+        self.waiting = r.nums::<u32>("waiting")?.into();
+        self.next_closed = r.num("next_closed")?;
+        self.closed = r.flag("closed")?;
+        self.backoff_rng = SplitMix64::new(r.num("backoff_rng")?);
+        if r.num::<usize>("queries")? != self.runs.len() {
+            return Err(bad("query count mismatch"));
+        }
+        for qid in 0..self.runs.len() {
+            let v: [u64; 15] = r.array("query")?;
+            let status = QueryStatus::parse(r.field("status")?).ok_or_else(|| bad("bad status"))?;
+            if let Some(fr) = self.views.get_mut(qid) {
+                fr.load_state(r)?;
+            }
+            let nodes_n: usize = r.num("nodes_n")?;
+            if nodes_n != 0 && nodes_n != n {
+                return Err(bad("node-state count mismatch"));
+            }
+            let nodes = (0..nodes_n)
+                .map(|_| load_node_state(r))
+                .collect::<Result<Vec<_>, _>>()?;
+            let before = PhaseSnapshot::load_state(r)?;
+            let nphases: usize = r.num("phases_done")?;
+            let run = &mut self.runs[qid];
+            let plan = &self.plans[run.plan_ix];
+            let phase_ix = v[5] as usize;
+            if v[0] as usize != run.plan_ix || phase_ix > plan.phases.len() {
+                return Err(bad("query plan cursor out of range"));
+            }
+            if nphases > plan.phases.len() {
+                return Err(bad("finished-phase count out of range"));
+            }
+            run.phases = (0..nphases)
+                .map(|_| codec::load_phase_report(r))
+                .collect::<Result<_, _>>()?;
+            run.arrival = SimTime::from_nanos(v[1]);
+            run.started = (v[2] != 0).then(|| SimTime::from_nanos(v[3]));
+            run.attempt = v[4] as u32;
+            run.phase_ix = phase_ix;
+            run.state = *QState::ALL
+                .get(v[6] as usize)
+                .ok_or_else(|| bad("bad query state"))?;
+            run.retry_armed = v[7] != 0;
+            run.retries = v[8] as u32;
+            run.timeouts = v[9] as u32;
+            run.finished = SimTime::from_nanos(v[10]);
+            run.events = v[11];
+            run.horizon = SimTime::from_nanos(v[12]);
+            run.phase_start = SimTime::from_nanos(v[13]);
+            self.outstanding[qid] = v[14];
+            run.status = status;
+            run.before = before;
+            // Per-batch costs are a pure function of the machine and the
+            // open phase: recomputed, never stored.
+            run.costs = (nodes_n != 0 && phase_ix < plan.phases.len())
+                .then(|| PhaseCosts::new(&self.machine, &plan.phases[phase_ix]));
+            run.nodes = nodes;
+        }
+        Ok(())
+    }
+}
+
 impl Simulation {
     /// Runs a multi-query workload under the given admission and
     /// deadline policies. Deterministic: the report is a pure function
@@ -857,121 +1371,29 @@ impl Simulation {
         profiled: bool,
     ) -> (LoadReport, Option<LoadSpanTrace>) {
         let mut mq = self.mq_setup(workload, admission, deadline, profiled);
-        mq.run_loop(&mut metrics);
+        mq.step(None, &mut None, &mut metrics);
         self.collect_load(mq, workload.summary(), admission, deadline)
     }
 
-    /// Builds the multi-query driver with `workload`'s arrivals queued
-    /// but nothing processed.
+    /// Builds the driver with `workload`'s arrivals queued but nothing
+    /// processed.
     fn mq_setup(
         &self,
         workload: &WorkloadSpec,
         admission: AdmissionPolicy,
         deadline: DeadlinePolicy,
         profiled: bool,
-    ) -> Mq {
+    ) -> Mq<'static> {
         assert!(workload.queries > 0, "workload needs at least one query");
-        let tasks = workload.tasks();
-        let arrivals = workload.arrival_times();
-        let mut machine = Machine::new(self.architecture());
-        for &(node, count) in self.degraded_disks() {
-            machine.degrade_disk(node, count);
-        }
-        let n = machine.nodes();
-        let fs = FaultRt::new(self.fault_plan(), self.recovery_policy(), self.seed(), n);
-
-        // One plan per distinct task kind; queries index into it.
-        let mut plans: Vec<TaskPlan> = Vec::new();
-        let mut kinds: Vec<TaskKind> = Vec::new();
-        let plan_of: Vec<usize> = tasks
-            .iter()
-            .map(|&t| {
-                kinds.iter().position(|&k| k == t).unwrap_or_else(|| {
-                    let plan = plan_task(t, self.architecture());
-                    plan.validate().expect("invalid task plan");
-                    plans.push(plan);
-                    kinds.push(t);
-                    kinds.len() - 1
-                })
-            })
-            .collect();
-
-        let window = machine.window();
-        // Steady state: every running query holds a full read window per
-        // node plus its fan-out, and each query owns at most one control
-        // event of each kind.
-        let cap = admission.max_concurrent * n * (window + 4) + 2 * tasks.len() + 64;
-        let q: EventQueue<Ev> = EventQueue::with_backend_capacity(self.queue_backend(), cap);
-
-        let runs: Vec<QueryRun> = tasks
-            .iter()
-            .zip(&arrivals)
-            .enumerate()
-            .map(|(i, (&task, &arrival))| QueryRun {
-                task,
-                plan_ix: plan_of[i],
-                arrival,
-                started: None,
-                attempt: 0,
-                phase_ix: 0,
-                nodes: Vec::new(),
-                costs: None,
-                fr: FaultRt::new(&FaultPlan::new(), self.recovery_policy(), self.seed(), n),
-                horizon: SimTime::ZERO,
-                phase_start: SimTime::ZERO,
-                state: QState::Pending,
-                status: QueryStatus::Completed,
-                retry_armed: false,
-                retries: 0,
-                timeouts: 0,
-                finished: SimTime::ZERO,
-                events: 0,
-                phases_done: Vec::new(),
-                span_last: SpanId::NONE,
-                span_last_end: SimTime::ZERO,
-                phase_spans: Vec::new(),
-            })
-            .collect();
-
-        let closed = matches!(workload.arrival, ArrivalProcess::Closed { .. });
-        let queries = runs.len();
-        let mut mq = Mq {
-            machine,
-            q,
-            runs,
-            plans,
-            kinds,
-            outstanding: vec![0; queries],
-            fs,
-            detect_at: vec![None; n],
-            adm: admission,
-            dl: deadline,
-            running: 0,
-            waiting: VecDeque::new(),
-            next_closed: queries,
-            closed,
-            // Decorrelate the backoff jitter stream from the machine's
-            // seeded models without a second seed knob.
-            backoff_rng: SplitMix64::new(self.seed() ^ 0x9E37_79B9_7F4A_7C15),
-            spans: profiled.then(SpanRt::new),
-            pending: None,
-            clock: SimTime::ZERO,
-            halted: false,
-        };
-        match workload.arrival {
-            ArrivalProcess::Poisson { .. } => {
-                for (i, &at) in arrivals.iter().enumerate() {
-                    mq.q.push(at, Ev::Admit { query: i as u32 });
-                }
-            }
-            ArrivalProcess::Closed { clients } => {
-                let first = (clients as usize).min(queries);
-                for i in 0..first {
-                    mq.q.push(SimTime::ZERO, Ev::Admit { query: i as u32 });
-                }
-                mq.next_closed = first;
-            }
-        }
+        let mut mq = Mq::new(
+            self,
+            Detection::Clock,
+            admission,
+            deadline,
+            workload.queries as usize,
+            profiled,
+        );
+        mq.push_workload(self, workload, Duration::ZERO);
         mq
     }
 
@@ -979,7 +1401,7 @@ impl Simulation {
     /// profiled).
     fn collect_load(
         &self,
-        mq: Mq,
+        mq: Mq<'_>,
         workload_summary: String,
         admission: AdmissionPolicy,
         deadline: DeadlinePolicy,
@@ -991,20 +1413,28 @@ impl Simulation {
             .map(|r| r.finished)
             .max()
             .unwrap_or(SimTime::ZERO);
+        let task = |r: &QueryRun| mq.kinds[r.plan_ix].expect("workload queries have a task");
         let outcomes = mq
             .runs
             .iter()
             .enumerate()
             .map(|(i, r)| QueryOutcome {
                 query: i as u32,
-                task: r.task,
+                task: task(r),
                 arrival: r.arrival,
                 started: r.started,
                 finished: r.finished,
                 status: r.status,
                 retries: r.retries,
                 timeouts: r.timeouts,
-                phases: r.phases_done.clone(),
+                phases: r
+                    .phases
+                    .iter()
+                    .map(|p| QueryPhase {
+                        name: p.name,
+                        elapsed: p.elapsed,
+                    })
+                    .collect(),
                 events: r.events,
             })
             .collect();
@@ -1029,7 +1459,7 @@ impl Simulation {
                 .enumerate()
                 .map(|(i, r)| QuerySpans {
                     query: i as u32,
-                    task: r.task,
+                    task: task(r),
                     phases: r.phase_spans.clone(),
                 })
                 .collect(),
@@ -1071,7 +1501,7 @@ impl Simulation {
 #[derive(Clone)]
 pub struct WarmStart {
     sim: Simulation,
-    mq: Mq,
+    mq: Mq<'static>,
     workload: String,
     admission: AdmissionPolicy,
     deadline: DeadlinePolicy,
@@ -1082,7 +1512,7 @@ impl WarmStart {
     /// Drains every queued arrival and its consequences — the warmup
     /// segment runs to completion and the clock parks at its last event.
     pub fn run_to_idle(&mut self) {
-        self.mq.step(None, &mut None);
+        self.mq.step(None, &mut None, &mut None);
     }
 
     /// The fork origin: the time of the last processed event. Extended
@@ -1110,89 +1540,8 @@ impl WarmStart {
     /// whether the prefix was simulated in this process or forked.
     pub fn extend(&mut self, spec: &WorkloadSpec) {
         assert!(spec.queries > 0, "extension needs at least one query");
-        let origin = self.mq.clock;
-        let shift = origin.since(SimTime::ZERO) + Duration::from_nanos(1);
-        let tasks = spec.tasks();
-        let arrivals: Vec<SimTime> = spec
-            .arrival_times()
-            .into_iter()
-            .map(|at| at + shift)
-            .collect();
-        let base = self.mq.runs.len();
-        let n = self.mq.machine.nodes();
-        for (&task, &arrival) in tasks.iter().zip(&arrivals) {
-            let plan_ix = self
-                .mq
-                .kinds
-                .iter()
-                .position(|&k| k == task)
-                .unwrap_or_else(|| {
-                    let plan = plan_task(task, self.sim.architecture());
-                    plan.validate().expect("invalid task plan");
-                    self.mq.plans.push(plan);
-                    self.mq.kinds.push(task);
-                    self.mq.kinds.len() - 1
-                });
-            self.mq.runs.push(QueryRun {
-                task,
-                plan_ix,
-                arrival,
-                started: None,
-                attempt: 0,
-                phase_ix: 0,
-                nodes: Vec::new(),
-                costs: None,
-                fr: FaultRt::new(
-                    &FaultPlan::new(),
-                    self.sim.recovery_policy(),
-                    self.sim.seed(),
-                    n,
-                ),
-                horizon: SimTime::ZERO,
-                phase_start: SimTime::ZERO,
-                state: QState::Pending,
-                status: QueryStatus::Completed,
-                retry_armed: false,
-                retries: 0,
-                timeouts: 0,
-                finished: SimTime::ZERO,
-                events: 0,
-                phases_done: Vec::new(),
-                span_last: SpanId::NONE,
-                span_last_end: SimTime::ZERO,
-                phase_spans: Vec::new(),
-            });
-            self.mq.outstanding.push(0);
-        }
-        match spec.arrival {
-            ArrivalProcess::Poisson { .. } => {
-                for (i, &at) in arrivals.iter().enumerate() {
-                    self.mq.q.push(
-                        at,
-                        Ev::Admit {
-                            query: (base + i) as u32,
-                        },
-                    );
-                }
-                // Closed-loop issuance (if the warmup was closed) must
-                // not re-admit the Poisson extension.
-                self.mq.next_closed = self.mq.runs.len();
-                self.mq.closed = false;
-            }
-            ArrivalProcess::Closed { clients } => {
-                let first = (clients as usize).min(tasks.len());
-                for (i, &at) in arrivals.iter().take(first).enumerate() {
-                    self.mq.q.push(
-                        at,
-                        Ev::Admit {
-                            query: (base + i) as u32,
-                        },
-                    );
-                }
-                self.mq.next_closed = base + first;
-                self.mq.closed = true;
-            }
-        }
+        let shift = self.mq.clock.since(SimTime::ZERO) + Duration::from_nanos(1);
+        self.mq.push_workload(&self.sim, spec, shift);
         self.workload = format!("{} + {}", self.workload, spec.summary());
     }
 
@@ -1201,7 +1550,7 @@ impl WarmStart {
     /// slice `outcomes` at [`WarmStart::measured_from`] for the measured
     /// segment).
     pub fn finish(mut self) -> LoadReport {
-        self.mq.step(None, &mut None);
+        self.mq.step(None, &mut None, &mut None);
         let (report, _) =
             self.sim
                 .collect_load(self.mq, self.workload, self.admission, self.deadline);
@@ -1209,6 +1558,185 @@ impl WarmStart {
     }
 }
 
+/// A pausable, forkable, serializable solo run of one plan on one
+/// [`Simulation`]: the copy-on-fork checkpointing engine. Create one
+/// with [`Simulation::start`], advance it with [`run_until`]
+/// (processing every event strictly before the limit), branch what-if
+/// continuations with [`fork`] / [`fork_with_faults`] — each fork
+/// shares the simulated prefix instead of re-running it — and complete
+/// any branch with [`finish`]. Reports from forked continuations are
+/// field-identical to from-scratch runs: every entry point drives the
+/// same one-query workload through the same event loop.
+///
+/// [`run_until`]: ExecRun::run_until
+/// [`fork`]: ExecRun::fork
+/// [`fork_with_faults`]: ExecRun::fork_with_faults
+/// [`finish`]: ExecRun::finish
+///
+/// # Example
+///
+/// ```
+/// use arch::Architecture;
+/// use howsim::Simulation;
+/// use simcore::SimTime;
+/// use tasks::{plan_task, TaskKind};
+///
+/// let sim = Simulation::new(Architecture::active_disks(4));
+/// let plan = plan_task(TaskKind::Select, sim.architecture());
+/// let scratch = sim.run_plan(&plan);
+///
+/// // Pause after the first simulated millisecond, fork, finish both.
+/// let mut prefix = sim.start(&plan);
+/// prefix.run_until(SimTime::from_nanos(1_000_000));
+/// let forked = prefix.fork().finish();
+/// assert_eq!(forked, scratch);
+/// assert_eq!(prefix.finish(), scratch);
+/// ```
+#[derive(Clone)]
+pub struct ExecRun<'p> {
+    sim: Simulation,
+    mq: Mq<'p>,
+}
+
+impl<'p> ExecRun<'p> {
+    pub(crate) fn start_inner(sim: &Simulation, plan: &'p TaskPlan, profiled: bool) -> Self {
+        ExecRun {
+            sim: sim.clone(),
+            mq: Mq::solo(sim, plan, profiled),
+        }
+    }
+
+    /// Drives the run to completion with optional tracing and metrics
+    /// sampling, returning the report and (when profiled) span trace.
+    pub(crate) fn complete(
+        mut self,
+        trace: &mut Option<&mut Trace>,
+        metrics: &mut Option<&mut MetricsBuilder>,
+    ) -> (Report, Option<SpanTrace>) {
+        self.mq.step(None, trace, metrics);
+        self.mq.into_report(&self.sim)
+    }
+
+    /// Advances the run until the simulation clock reaches `t`:
+    /// processes every event firing strictly before `t` and every phase
+    /// boundary falling before `t`, then pauses at an exact event
+    /// boundary. Pausing and resuming never changes the final report.
+    pub fn run_until(&mut self, t: SimTime) {
+        self.mq.step(Some(t), &mut None, &mut None);
+    }
+
+    /// Whether the run has completed (its report is final): it ended,
+    /// or every phase has finished and only the closing barrier's
+    /// bookkeeping event remains.
+    pub fn is_done(&self) -> bool {
+        let run = self.mq.solo_run();
+        run.state == QState::Done || run.phase_ix == self.mq.plans[run.plan_ix].phases.len()
+    }
+
+    /// The simulation clock at the current pause point: the stashed
+    /// event's pop time when paused (everything strictly before it is
+    /// simulated), the run's end once it ended.
+    pub fn paused_at(&self) -> SimTime {
+        let run = self.mq.solo_run();
+        match &self.mq.pending {
+            Some((t, _)) => *t,
+            None if run.state == QState::Done => run.finished,
+            None => self.mq.clock,
+        }
+    }
+
+    /// Events processed so far (the report's `events` once done).
+    pub fn events_so_far(&self) -> u64 {
+        self.mq.work_popped
+    }
+
+    /// Forks the run at the current pause point: an independent
+    /// continuation sharing the already-simulated prefix.
+    #[must_use]
+    pub fn fork(&self) -> ExecRun<'p> {
+        self.clone()
+    }
+
+    /// Forks the run and swaps in a fresh fault schedule and recovery
+    /// policy for the continuation: the fork-at-fault-time primitive.
+    /// The healthy prefix is simulated once; each fault scenario replays
+    /// only its suffix.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the prefix already consumed fault state (a fault was
+    /// applied or the schedule cursor moved) — a continuation under a
+    /// different schedule would then diverge from a from-scratch run.
+    #[must_use]
+    pub fn fork_with_faults(&self, faults: FaultPlan, recovery: RecoveryPolicy) -> ExecRun<'p> {
+        let fs = &self.mq.fs;
+        assert!(
+            fs.injected == 0 && fs.next == 0,
+            "cannot swap fault plans: the prefix already consumed fault state"
+        );
+        debug_assert!(fs.pool.is_empty() && fs.abort_at.is_none());
+        let mut run = self.clone();
+        run.sim = self
+            .sim
+            .clone()
+            .with_fault_plan(faults)
+            .with_recovery(recovery);
+        let n = run.mq.machine.nodes();
+        run.mq.fs = FaultRt::new(run.sim.fault_plan(), recovery, run.sim.seed(), n);
+        run
+    }
+
+    /// Runs to completion and returns the report — field-identical to
+    /// [`Simulation::run_plan`] on the same configuration.
+    pub fn finish(self) -> Report {
+        self.complete(&mut None, &mut None).0
+    }
+
+    /// Runs to completion and returns the report plus the span trace.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the run was not started with profiling
+    /// ([`Simulation::start_profiled`]).
+    pub fn finish_profiled(self) -> (Report, SpanTrace) {
+        let (report, spans) = self.complete(&mut None, &mut None);
+        (report, spans.expect("run was started without profiling"))
+    }
+
+    /// Serializes the paused run (see [`crate::checkpoint`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the run is profiled: the span arena is not captured on
+    /// disk (fork in memory to keep profiling across a branch point).
+    pub fn save_state(&self, w: &mut StateWriter) {
+        assert!(
+            self.mq.spans.is_none(),
+            "profiled runs cannot be checkpointed to disk"
+        );
+        self.mq.save_state(w);
+    }
+
+    /// Rebuilds a paused run from [`ExecRun::save_state`] output. `sim`
+    /// and `plan` must be the configuration the state was saved under
+    /// (the checkpoint key guarantees this; a mismatched machine shape
+    /// is also caught here as an error). The restored queue is freshly
+    /// built for `sim`'s backend and replays the saved pop order
+    /// exactly, so a checkpoint taken under one backend resumes
+    /// bit-identically under any other.
+    pub fn load_state(
+        sim: &Simulation,
+        plan: &'p TaskPlan,
+        r: &mut StateReader<'_>,
+    ) -> Result<Self, StateError> {
+        if plan.validate().is_err() {
+            return Err(StateError::new("invalid task plan"));
+        }
+        let mut run = ExecRun::start_inner(sim, plan, false);
+        run.mq.load_state(r)?;
+        Ok(run)
+    }
+}
 #[cfg(test)]
 mod tests {
     use super::*;

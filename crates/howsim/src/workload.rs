@@ -70,35 +70,42 @@ fn parse_task(name: &str) -> Result<TaskKind, String> {
         })
 }
 
-/// Parses a duration literal: `<n>ns`, `<n>us`, `<n>ms`, or `<x>s`.
+/// The latest simulated clock a spec may ask for: 10^9 s (about 32
+/// years). Every duration, deadline-and-backoff chain and generated
+/// arrival a spec describes must fit under it, which keeps all clock
+/// arithmetic far from `u64` nanosecond overflow.
+pub const SPEC_HORIZON: Duration = Duration::from_secs(1_000_000_000);
+
+/// The error for a spec whose clocks reach past [`SPEC_HORIZON`].
+pub(crate) fn beyond_horizon(what: &str) -> String {
+    format!(
+        "{what} reaches beyond the {}s simulated-time horizon",
+        SPEC_HORIZON.as_secs_f64()
+    )
+}
+
+/// Parses a duration literal: `<n>ns`, `<n>us`, `<n>ms`, or `<x>s`, at
+/// most [`SPEC_HORIZON`].
 pub fn parse_duration(s: &str) -> Result<Duration, String> {
     let err = || format!("bad duration '{s}' (expected e.g. 120s, 250ms, 10us, 500ns)");
-    if let Some(v) = s.strip_suffix("ns") {
-        return v
-            .parse::<u64>()
-            .map(Duration::from_nanos)
-            .map_err(|_| err());
-    }
-    if let Some(v) = s.strip_suffix("us") {
-        return v
-            .parse::<u64>()
-            .map(Duration::from_micros)
-            .map_err(|_| err());
-    }
-    if let Some(v) = s.strip_suffix("ms") {
-        return v
-            .parse::<u64>()
-            .map(Duration::from_millis)
-            .map_err(|_| err());
-    }
-    if let Some(v) = s.strip_suffix('s') {
+    let units = [("ns", 1u64), ("us", 1_000), ("ms", 1_000_000)];
+    let d = if let Some((v, unit)) = units
+        .iter()
+        .find_map(|&(suffix, unit)| s.strip_suffix(suffix).map(|v| (v, unit)))
+    {
+        let n: u64 = v.parse().map_err(|_| err())?;
+        n.checked_mul(unit).map(Duration::from_nanos)
+    } else if let Some(v) = s.strip_suffix('s') {
         let secs: f64 = v.parse().map_err(|_| err())?;
         if !(secs >= 0.0 && secs.is_finite()) {
             return Err(err());
         }
-        return Ok(Duration::from_secs_f64(secs));
-    }
-    Err(err())
+        (secs <= SPEC_HORIZON.as_secs_f64()).then(|| Duration::from_secs_f64(secs))
+    } else {
+        return Err(err());
+    };
+    d.filter(|&d| d <= SPEC_HORIZON)
+        .ok_or_else(|| beyond_horizon(&format!("duration '{s}'")))
 }
 
 /// Renders a duration the way specs write them (integer nanoseconds
@@ -202,12 +209,19 @@ impl WorkloadSpec {
             return Err("workload needs at least one query".into());
         }
         let mix = Self::parse_mix(mix)?;
-        Ok(WorkloadSpec {
+        let spec = WorkloadSpec {
             arrival,
             mix,
             queries,
             seed,
-        })
+        };
+        // Arrival clocks only grow: the last one bounds them all.
+        match spec.arrival_secs().last() {
+            Some(last) if last > SPEC_HORIZON.as_secs_f64() => Err(beyond_horizon(&format!(
+                "load spec '{load}' (last arrival at {last:e} s)"
+            ))),
+            _ => Ok(spec),
+        }
     }
 
     /// Parses a `--mix` string (see [`WorkloadSpec::parse_spec`]).
@@ -277,22 +291,29 @@ impl WorkloadSpec {
     /// workloads arrive at time zero — the executor gates them on
     /// completions instead.
     pub fn arrival_times(&self) -> Vec<SimTime> {
-        match self.arrival {
-            ArrivalProcess::Poisson { qps } => {
-                // Independent stream from the task draws, so changing the
-                // mix never reshuffles arrival times.
-                let mut rng = SplitMix64::new(self.seed).split();
-                let mut clock = 0.0f64;
-                (0..self.queries)
-                    .map(|_| {
-                        let u = rng.next_f64();
-                        clock += -(1.0 - u).ln() / qps;
-                        SimTime::ZERO + Duration::from_secs_f64(clock)
-                    })
-                    .collect()
+        self.arrival_secs()
+            .map(|secs| SimTime::ZERO + Duration::from_secs_f64(secs))
+            .collect()
+    }
+
+    /// The arrival clocks in seconds, before rounding to nanoseconds.
+    fn arrival_secs(&self) -> impl Iterator<Item = f64> {
+        // Independent stream from the task draws, so changing the mix
+        // never reshuffles arrival times.
+        let mut rng = SplitMix64::new(self.seed).split();
+        let mut clock = 0.0f64;
+        let qps = match self.arrival {
+            ArrivalProcess::Poisson { qps } => Some(qps),
+            ArrivalProcess::Closed { .. } => None,
+        };
+        (0..self.queries).map(move |_| match qps {
+            Some(qps) => {
+                let u = rng.next_f64();
+                clock += -(1.0 - u).ln() / qps;
+                clock
             }
-            ArrivalProcess::Closed { .. } => vec![SimTime::ZERO; self.queries as usize],
-        }
+            None => 0.0,
+        })
     }
 }
 
@@ -368,32 +389,50 @@ impl Default for DeadlinePolicy {
 
 impl DeadlinePolicy {
     /// Parses the CLI form: `none`, `<deadline>`, or
-    /// `<deadline>:<retries>:<backoff>` (e.g. `120s:2:5s`).
+    /// `<deadline>:<retries>:<backoff>` (e.g. `120s:2:5s`). A policy
+    /// whose longest chain of attempts and backoffs reaches past
+    /// [`SPEC_HORIZON`] is rejected.
     pub fn parse_spec(s: &str) -> Result<Self, String> {
-        if s == "none" {
-            return Ok(DeadlinePolicy {
-                deadline: None,
-                ..DeadlinePolicy::default()
-            });
-        }
         let parts: Vec<&str> = s.split(':').collect();
-        match parts.as_slice() {
-            [d] => Ok(DeadlinePolicy {
+        let policy = match parts.as_slice() {
+            ["none"] => DeadlinePolicy::default(),
+            [d] => DeadlinePolicy {
                 deadline: Some(parse_duration(d)?),
                 ..DeadlinePolicy::default()
-            }),
-            [d, r, b] => Ok(DeadlinePolicy {
+            },
+            [d, r, b] => DeadlinePolicy {
                 deadline: Some(parse_duration(d)?),
                 max_retries: r
                     .parse()
                     .map_err(|_| format!("bad retry count in deadline spec '{s}'"))?,
                 backoff: parse_duration(b)?,
-            }),
-            _ => Err(format!(
-                "bad deadline spec '{s}' (expected none, <deadline>, or \
-                 <deadline>:<retries>:<backoff>)"
-            )),
+            },
+            _ => {
+                return Err(format!(
+                    "bad deadline spec '{s}' (expected none, <deadline>, or \
+                     <deadline>:<retries>:<backoff>)"
+                ))
+            }
+        };
+        if policy.longest_chain_secs() > SPEC_HORIZON.as_secs_f64() {
+            return Err(beyond_horizon(&format!("deadline spec '{s}'")));
         }
+        Ok(policy)
+    }
+
+    /// Upper bound of the simulated time one query can spend on
+    /// deadlines and backoffs: every attempt runs out its deadline and
+    /// every retry waits its longest jittered backoff (see
+    /// [`DeadlinePolicy::backoff_for`]).
+    fn longest_chain_secs(&self) -> f64 {
+        let Some(deadline) = self.deadline else {
+            return 0.0;
+        };
+        let retries = f64::from(self.max_retries);
+        let doubling = self.max_retries.min(21) as i32;
+        let factor_sum =
+            2f64.powi(doubling) - 1.0 + (retries - f64::from(doubling)) * 2f64.powi(20);
+        (retries + 1.0) * deadline.as_secs_f64() + 1.5 * factor_sum * self.backoff.as_secs_f64()
     }
 
     /// Canonical form; `parse_spec` round-trips it.
@@ -420,6 +459,72 @@ impl DeadlinePolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::faults::FaultPlan;
+    use proptest::prelude::*;
+
+    /// Spec fragments the generated strings are built from: every
+    /// separator and unit, keywords, and numbers at the edges of `u64`,
+    /// `f64` and the horizon.
+    const TOKENS: [&str; 28] = [
+        ":",
+        "@",
+        ",",
+        ".",
+        "-",
+        "e",
+        "s",
+        "ms",
+        "us",
+        "ns",
+        "0",
+        "1",
+        "3",
+        "9",
+        "1e9",
+        "1e30",
+        "1e-300",
+        "18446744073709551615",
+        "inf",
+        "NaN",
+        "poisson",
+        "closed",
+        "none",
+        "select",
+        "disk",
+        "slow",
+        "link",
+        "x",
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Every spec parser returns `Err` or a value on any string,
+        /// never a panic, and a value it returns keeps its clocks under
+        /// the horizon.
+        #[test]
+        fn spec_parsers_never_panic(
+            picks in proptest::collection::vec(0usize..TOKENS.len(), 0..12),
+            raw in proptest::collection::vec(0u8..=255, 0..12),
+        ) {
+            let spec: String = picks.iter().map(|&i| TOKENS[i]).collect();
+            let noise = String::from_utf8_lossy(&raw).into_owned();
+            for s in [spec.as_str(), noise.as_str()] {
+                if let Ok(d) = parse_duration(s) {
+                    prop_assert!(d <= SPEC_HORIZON);
+                }
+                if let Ok(dl) = DeadlinePolicy::parse_spec(s) {
+                    prop_assert!(dl.longest_chain_secs() <= SPEC_HORIZON.as_secs_f64());
+                }
+                if let Ok(w) = WorkloadSpec::parse_spec(s, "select") {
+                    let horizon = SimTime::ZERO + SPEC_HORIZON;
+                    prop_assert!(w.arrival_times().iter().all(|&t| t <= horizon));
+                }
+                let _ = AdmissionPolicy::parse_spec(s);
+                let _ = FaultPlan::parse_spec(s);
+            }
+        }
+    }
 
     #[test]
     fn load_spec_round_trips() {

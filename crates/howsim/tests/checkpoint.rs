@@ -4,7 +4,7 @@
 
 use arch::Architecture;
 use howsim::manifest::RunManifest;
-use howsim::{checkpoint, Simulation};
+use howsim::{checkpoint, FaultPlan, Simulation};
 use proptest::prelude::*;
 use simcore::{Duration, QueueBackend, SimTime};
 use tasks::{CpuWork, PhasePlan, TaskKind, TaskPlan};
@@ -49,6 +49,59 @@ fn restored_join_is_byte_identical_across_backends() {
                 "manifest bytes at frac {frac} under {backend:?}"
             );
         }
+    }
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn every_pause_point_resumes_and_bad_files_miss() {
+    // A faulted two-phase sort, paused mid-phase, exactly at the first
+    // phase barrier, after the fault struck, and after completion.
+    let arch = Architecture::cluster(4);
+    let plan = tasks::plan_task(TaskKind::Sort, &arch);
+    let healthy = Simulation::new(arch.clone()).run_plan(&plan).elapsed();
+    let fault_at = Duration::from_secs_f64(healthy.as_secs_f64() * 0.3);
+    let sim = Simulation::new(arch).with_fault_plan(FaultPlan::new().disk_fail_stop(1, fault_at));
+    let scratch = sim.run_plan(&plan);
+    let ns = |frac: f64| SimTime::from_nanos((scratch.elapsed().as_nanos() as f64 * frac) as u64);
+    let barrier = SimTime::ZERO + scratch.phases[0].elapsed;
+    let path = tmp("points");
+    for (label, at) in [
+        ("mid-phase", ns(0.1)),
+        ("barrier", barrier),
+        ("after the fault", ns(0.6)),
+        ("after completion", ns(1.5)),
+    ] {
+        let mut run = sim.start(&plan);
+        run.run_until(at);
+        assert_eq!(run.is_done(), label == "after completion", "{label}");
+        checkpoint::write_file(&path, &sim, &plan, at, &run).unwrap();
+        for backend in BACKENDS {
+            let loader = sim.clone().with_queue_backend(backend);
+            let restored = checkpoint::read_file(&path, &loader, &plan).expect("v2 restores");
+            assert_eq!(restored.paused_at(), run.paused_at(), "{label}");
+            assert_eq!(restored.finish(), scratch, "{label} under {backend:?}");
+        }
+    }
+
+    // A file of the previous schema, a truncated one, and a bit-flipped
+    // one are clean misses.
+    let intact = std::fs::read(&path).unwrap();
+    let text = String::from_utf8(intact.clone()).unwrap();
+    let damaged = [
+        text.replace(checkpoint::SCHEMA, "howsim-ckpt/v1")
+            .into_bytes(),
+        intact[..intact.len() / 2].to_vec(),
+        {
+            let mut flipped = intact.clone();
+            let mid = flipped.len() / 2;
+            flipped[mid] ^= 1;
+            flipped
+        },
+    ];
+    for bytes in damaged {
+        std::fs::write(&path, bytes).unwrap();
+        assert!(checkpoint::read_file(&path, &sim, &plan).is_none());
     }
     let _ = std::fs::remove_file(&path);
 }

@@ -156,3 +156,62 @@ fn cluster_and_smp_survive_mid_run_failures() {
         );
     }
 }
+
+/// The solo fault semantics, pinned: `(elapsed ns, events, aborted,
+/// faults_injected)` of each case, captured from `Simulation::run` while
+/// solo runs still had a phase loop of their own. Solo runs detect a failure that surfaced before a
+/// phase start at that phase's barrier, so `disk:1@0s` costs fewer events
+/// than under load and `failstop` aborts at 0.5 s before any event; the
+/// pop that crosses a mid-phase abort clock is counted.
+#[test]
+fn solo_fault_semantics_are_pinned() {
+    #[rustfmt::skip]
+    let cases = [
+        ("active", "select", "disk:1@0s", "redistribute", (161_805_261_572, 130877, false, 1)),
+        ("active", "select", "disk:1@0s", "failstop", (500_000_000, 0, true, 1)),
+        ("active", "select", "disk:1@5s", "redistribute", (161_189_901_852, 130895, false, 1)),
+        ("active", "select", "disk:1@5s", "failstop", (5_500_000_000, 5396, true, 1)),
+        ("active", "select", "slow:2@3s:500", "redistribute", (145_664_127_479, 130879, false, 1)),
+        ("active", "select", "slow:2@3s:500", "failstop", (145_664_127_479, 130879, false, 1)),
+        ("active", "select", "link:1@2s:0.5", "redistribute", (141_815_580_826, 130879, false, 1)),
+        ("active", "select", "link:1@2s:0.5", "failstop", (141_815_580_826, 130879, false, 1)),
+        ("cluster", "sort", "disk:1@0s", "redistribute", (690_528_272_508, 366238, false, 1)),
+        ("cluster", "sort", "disk:1@0s", "failstop", (500_000_000, 0, true, 1)),
+        ("cluster", "sort", "disk:1@5s", "redistribute", (685_321_290_318, 366272, false, 1)),
+        ("cluster", "sort", "disk:1@5s", "failstop", (5_500_000_000, 6525, true, 1)),
+        ("cluster", "sort", "slow:2@3s:500", "redistribute", (462_180_219_856, 366240, false, 1)),
+        ("cluster", "sort", "slow:2@3s:500", "failstop", (462_180_219_856, 366240, false, 1)),
+        ("cluster", "sort", "link:1@2s:0.5", "redistribute", (540_757_255_381, 366240, false, 1)),
+        ("cluster", "sort", "link:1@2s:0.5", "failstop", (540_757_255_381, 366240, false, 1)),
+        ("smp", "join", "disk:1@0s", "redistribute", (977_772_874_148, 488302, false, 1)),
+        ("smp", "join", "disk:1@0s", "failstop", (500_000_000, 0, true, 1)),
+        ("smp", "join", "disk:1@5s", "redistribute", (975_881_602_456, 488311, false, 1)),
+        ("smp", "join", "disk:1@5s", "failstop", (5_500_000_000, 4029, true, 1)),
+        ("smp", "join", "slow:2@3s:500", "redistribute", (731_930_215_326, 488304, false, 1)),
+        ("smp", "join", "slow:2@3s:500", "failstop", (731_930_215_326, 488304, false, 1)),
+        ("smp", "join", "link:1@2s:0.5", "redistribute", (742_340_935_166, 488304, false, 1)),
+        ("smp", "join", "link:1@2s:0.5", "failstop", (742_340_935_166, 488304, false, 1)),
+    ];
+    for (arch, task, fault, policy, expected) in cases {
+        let arch = match arch {
+            "active" => Architecture::active_disks(8),
+            "cluster" => Architecture::cluster(8),
+            _ => Architecture::smp(8),
+        };
+        let task = TaskKind::ALL
+            .into_iter()
+            .find(|t| t.name() == task)
+            .unwrap();
+        let r = Simulation::new(arch)
+            .with_fault_plan(FaultPlan::parse_spec(fault).unwrap())
+            .with_recovery(RecoveryPolicy::parse(policy).unwrap())
+            .run(task);
+        let got = (
+            r.elapsed().as_nanos(),
+            r.events,
+            r.aborted,
+            r.faults_injected,
+        );
+        assert_eq!(got, expected, "{task:?} {fault} {policy}");
+    }
+}
