@@ -47,7 +47,7 @@ use std::time::Instant;
 
 use arch::Architecture;
 use howsim::{cache, checkpoint, sweep, AdmissionPolicy, DeadlinePolicy, Simulation, WorkloadSpec};
-use simcore::span::{SpanArena, SpanId, SpanKind};
+use simcore::span::{SpanArena, SpanId, SpanKind, SpanResource};
 use simcore::{Duration, QueueBackend, SimTime};
 use tasks::TaskKind;
 
@@ -306,7 +306,7 @@ fn assert_tracing_off_allocates_nothing() {
         for i in 0..1_000_000u64 {
             arena.record(
                 SpanId::NONE,
-                "disk_media",
+                SpanResource::DiskMedia,
                 SpanKind::DiskRead,
                 0,
                 SimTime::ZERO,

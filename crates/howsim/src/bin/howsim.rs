@@ -478,7 +478,7 @@ fn print_profile(report: &howsim::Report, spans: &SpanTrace) {
             "  {:>8} {:<12} {:<16} {:>6} {:>14} {:>14} {:>12}",
             id.index().unwrap_or(usize::MAX),
             s.kind.name(),
-            s.resource,
+            s.resource.name(),
             node,
             s.start.as_nanos(),
             s.duration().as_nanos(),

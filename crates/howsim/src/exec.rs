@@ -5,7 +5,7 @@
 use std::collections::{BTreeMap, VecDeque};
 
 use arch::Architecture;
-use simcore::span::{SpanArena, SpanId, SpanKind, FRONT_END_NODE};
+use simcore::span::{SpanArena, SpanId, SpanKind, SpanResource, FRONT_END_NODE};
 use simcore::state::{StateError, StateReader, StateWriter};
 use simcore::{Duration, EventQueue, QueueBackend, SimTime, SplitMix64};
 use tasks::plan::{CpuWork, PhasePlan, TaskPlan};
@@ -22,12 +22,6 @@ use crate::profile::SpanTrace;
 use crate::report::{PhaseReport, Report};
 use crate::trace::{NodeId, Trace, TraceEvent, TraceKind};
 use crate::BATCH_BYTES;
-
-/// Synthetic critical-path resource for phase-boundary barriers.
-pub(crate) const BARRIER_RESOURCE: &str = "barrier";
-/// Synthetic critical-path resource for out-of-band disk positioning at
-/// phase end (merge run switches).
-pub(crate) const POSITIONING_RESOURCE: &str = "disk_positioning";
 
 /// A configured simulation: one architecture, ready to run tasks.
 ///
@@ -175,7 +169,7 @@ impl SpanRt {
     pub(crate) fn record(
         &mut self,
         parent: SpanId,
-        resource: &'static str,
+        resource: SpanResource,
         kind: SpanKind,
         node: u32,
         start: SimTime,
@@ -200,7 +194,7 @@ impl SpanRt {
 pub(crate) fn span(
     spans: &mut Option<&mut SpanRt>,
     parent: SpanId,
-    resource: &'static str,
+    resource: SpanResource,
     kind: SpanKind,
     node: u32,
     start: SimTime,
@@ -1208,7 +1202,7 @@ pub(crate) fn handle_ev(
             let cpu_span = span(
                 spans,
                 ev_span,
-                Resource::WorkerCpu.key(),
+                Resource::WorkerCpu.span(),
                 SpanKind::Cpu,
                 node as u32,
                 now,
@@ -1302,7 +1296,7 @@ pub(crate) fn handle_ev(
                         let retry_span = span(
                             spans,
                             ev_span,
-                            Resource::Interconnect.key(),
+                            Resource::Interconnect.span(),
                             SpanKind::Transfer,
                             dst2 as u32,
                             now,
@@ -1345,7 +1339,7 @@ pub(crate) fn handle_ev(
             let recv_span = span(
                 spans,
                 ev_span,
-                Resource::WorkerCpu.key(),
+                Resource::WorkerCpu.span(),
                 SpanKind::Cpu,
                 dst as u32,
                 now,
@@ -1394,7 +1388,7 @@ pub(crate) fn handle_ev(
                 span(
                     spans,
                     ev_span,
-                    Resource::DiskMedia.key(),
+                    Resource::DiskMedia.span(),
                     SpanKind::DiskWrite,
                     node as u32,
                     now,
@@ -1426,7 +1420,7 @@ pub(crate) fn handle_ev(
             span(
                 spans,
                 ev_span,
-                Resource::FrontEndCpu.key(),
+                Resource::FrontEndCpu.span(),
                 SpanKind::FrontEnd,
                 FRONT_END_NODE,
                 now,
@@ -1538,7 +1532,7 @@ pub(crate) fn issue_read(
     let read_span = span(
         spans,
         parent,
-        resource.key(),
+        resource.span(),
         SpanKind::DiskRead,
         node as u32,
         now,
@@ -1620,7 +1614,7 @@ fn drain_outputs(
         span(
             spans,
             parent,
-            Resource::DiskMedia.key(),
+            Resource::DiskMedia.span(),
             SpanKind::DiskWrite,
             node as u32,
             now,
@@ -1649,7 +1643,7 @@ fn send_peer(
     let send_span = span(
         spans,
         parent,
-        Resource::WorkerCpu.key(),
+        Resource::WorkerCpu.span(),
         SpanKind::Cpu,
         src as u32,
         now,
@@ -1659,7 +1653,7 @@ fn send_peer(
     let wire_span = span(
         spans,
         send_span,
-        Resource::Interconnect.key(),
+        Resource::Interconnect.span(),
         SpanKind::Transfer,
         dst as u32,
         send_done,
@@ -1695,7 +1689,7 @@ fn send_frontend(
     let send_span = span(
         spans,
         parent,
-        Resource::WorkerCpu.key(),
+        Resource::WorkerCpu.span(),
         SpanKind::Cpu,
         src as u32,
         now,
@@ -1705,7 +1699,7 @@ fn send_frontend(
     let wire_span = span(
         spans,
         send_span,
-        Resource::FrontEndLink.key(),
+        Resource::FrontEndLink.span(),
         SpanKind::Transfer,
         FRONT_END_NODE,
         send_done,

@@ -27,6 +27,7 @@ pub mod cache;
 pub mod checkpoint;
 pub mod codec;
 pub mod exec;
+mod export;
 pub mod faults;
 pub mod machine;
 pub mod manifest;

@@ -16,7 +16,7 @@
 //!   simulated-time interval, yielding [`RunMetrics`]. Costs one branch
 //!   per event when enabled, one `Option` check when not.
 
-use simcore::{Duration, GaugeSeries, SimTime, UtilizationSampler};
+use simcore::{Duration, GaugeSeries, SimTime, SpanResource, UtilizationSampler};
 
 use crate::report::Report;
 
@@ -61,15 +61,7 @@ impl Resource {
 
     /// Stable machine-readable key used in manifests and JSON output.
     pub fn key(self) -> &'static str {
-        match self {
-            Resource::DiskMedia => "disk_media",
-            Resource::WorkerCpu => "worker_cpu",
-            Resource::FrontEndCpu => "front_end_cpu",
-            Resource::Interconnect => "interconnect",
-            Resource::FrontEndLink => "front_end_link",
-            Resource::MemoryFabric => "memory_fabric",
-            Resource::Recovery => "recovery",
-        }
+        self.span().name()
     }
 
     /// The inverse of [`Resource::key`]; `None` for unknown keys.
@@ -94,6 +86,20 @@ impl Resource {
             Resource::FrontEndLink => "front-end link",
             Resource::MemoryFabric => "memory fabric",
             Resource::Recovery => "recovery",
+        }
+    }
+
+    /// The span-arena resource of this class, whose name is the key.
+    #[inline]
+    pub fn span(self) -> SpanResource {
+        match self {
+            Resource::DiskMedia => SpanResource::DiskMedia,
+            Resource::WorkerCpu => SpanResource::WorkerCpu,
+            Resource::FrontEndCpu => SpanResource::FrontEndCpu,
+            Resource::Interconnect => SpanResource::Interconnect,
+            Resource::FrontEndLink => SpanResource::FrontEndLink,
+            Resource::MemoryFabric => SpanResource::MemoryFabric,
+            Resource::Recovery => SpanResource::Recovery,
         }
     }
 }

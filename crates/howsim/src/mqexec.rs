@@ -62,7 +62,7 @@
 use std::borrow::Cow;
 use std::collections::VecDeque;
 
-use simcore::span::{SpanId, SpanKind, FRONT_END_NODE};
+use simcore::span::{SpanId, SpanKind, SpanResource, FRONT_END_NODE};
 use simcore::{
     Duration, EventQueue, QueueSnapshot, SimTime, SplitMix64, StateError, StateReader, StateWriter,
 };
@@ -73,7 +73,7 @@ use crate::codec;
 use crate::exec::{
     encode_ev, handle_ev, init_phase_nodes, issue_read, load_node_state, parse_timed_ev,
     phase_region, phase_writes, save_node_state, Ev, EvQ, FaultRt, NodeState, PhaseCosts, PhaseCtx,
-    PhaseSnapshot, Simulation, SpanRt, BARRIER_RESOURCE, POSITIONING_RESOURCE,
+    PhaseSnapshot, Simulation, SpanRt,
 };
 use crate::faults::{FaultPlan, RecoveryPolicy, DETECT_TIMEOUT};
 use crate::machine::Machine;
@@ -379,6 +379,11 @@ impl QueryRun {
     }
 }
 
+/// Upper bound on the event queue's pre-size hint, in events. The
+/// steady-state estimate in [`Mq::new`] scales with the admitted
+/// queries; every workload in this repository sizes far below 2^20.
+const MAX_QUEUE_HINT: usize = 1 << 20;
+
 /// The event driver: one shared machine, one event queue, N query state
 /// machines. `Clone` is the fork primitive: a paused run is cloned once
 /// per what-if continuation (see [`ExecRun`] and [`WarmStart`]).
@@ -443,8 +448,16 @@ impl<'p> Mq<'p> {
         let n = machine.nodes();
         // Steady state: every running query holds a full read window per
         // node plus its fan-out, and each query owns at most one control
-        // event of each kind.
-        let cap = adm.max_concurrent.min(queries) * n * (machine.window() + 4) + 2 * queries + 64;
+        // event of each kind. Only a hint: saturating, and capped so a
+        // huge admission bound cannot turn into a huge reservation.
+        let cap = adm
+            .max_concurrent
+            .min(queries)
+            .saturating_mul(n)
+            .saturating_mul(machine.window() + 4)
+            .saturating_add(queries.saturating_mul(2))
+            .saturating_add(64)
+            .min(MAX_QUEUE_HINT);
         Mq {
             q: EventQueue::with_backend_capacity(sim.queue_backend(), cap),
             fs: FaultRt::new(sim.fault_plan(), sim.recovery_policy(), sim.seed(), n),
@@ -985,7 +998,7 @@ impl Mq<'_> {
                 let parent = rt.last;
                 rt.record(
                     parent,
-                    POSITIONING_RESOURCE,
+                    SpanResource::Positioning,
                     SpanKind::Positioning,
                     FRONT_END_NODE,
                     run.horizon,
@@ -998,7 +1011,7 @@ impl Mq<'_> {
             let parent = rt.last;
             rt.record(
                 parent,
-                BARRIER_RESOURCE,
+                SpanResource::Barrier,
                 SpanKind::Barrier,
                 FRONT_END_NODE,
                 end,

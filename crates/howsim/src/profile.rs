@@ -12,11 +12,12 @@
 //! `"unattributed"` resource rather than silently dropped.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
 use simcore::span::{Span, SpanArena, SpanId, FRONT_END_NODE};
 use simcore::{Duration, SimTime};
 use tasks::TaskKind;
+
+use crate::export::ExportBuf;
 
 /// Synthetic critical-path resource for intervals no span covers (e.g. a
 /// node idling for a straggler inside a phase when spans were dropped).
@@ -85,14 +86,22 @@ impl SpanTrace {
     /// record order, which is deterministic across queue backends).
     pub fn top_spans(&self, k: usize) -> Vec<(SpanId, &Span)> {
         let spans = self.arena.spans();
-        let mut ix: Vec<usize> = (0..spans.len()).collect();
-        ix.sort_by(|&a, &b| {
+        // (duration desc, index asc) keys are unique, so selecting the k
+        // winners and sorting only them gives the full sort's prefix.
+        let order = |&a: &usize, &b: &usize| {
             spans[b]
                 .duration()
                 .cmp(&spans[a].duration())
                 .then(a.cmp(&b))
-        });
-        ix.truncate(k);
+        };
+        let mut ix: Vec<usize> = (0..spans.len()).collect();
+        if k < ix.len() {
+            if k > 0 {
+                ix.select_nth_unstable_by(k - 1, order);
+            }
+            ix.truncate(k);
+        }
+        ix.sort_unstable_by(order);
         ix.into_iter()
             .map(|i| (SpanId::from_index(i), &spans[i]))
             .collect()
@@ -129,7 +138,7 @@ fn critical_path_over(arena: &SpanArena, phases: &[PhaseSpans]) -> CriticalPath 
                 cursor = span.end;
             }
             let claim_from = span.start.min(cursor);
-            *by_resource.entry(span.resource).or_default() += cursor.since(claim_from);
+            *by_resource.entry(span.resource.name()).or_default() += cursor.since(claim_from);
             cursor = claim_from;
             id = span.parent;
         }
@@ -148,64 +157,70 @@ fn critical_path_over(arena: &SpanArena, phases: &[PhaseSpans]) -> CriticalPath 
     CriticalPath { total, segments }
 }
 
+/// Chrome output bytes reserved per B/E event: the 64-disk join's lines
+/// average about 123 bytes, and a line rarely runs much longer.
+const CHROME_EVENT_BYTES: usize = 136;
+
 /// Chrome trace-event serialization shared by [`SpanTrace`] and
 /// [`LoadSpanTrace`]: each span's `pid` is its query lane, so Perfetto
 /// renders concurrent queries as separate processes.
 fn chrome_trace_of(arena: &SpanArena) -> String {
     let spans = arena.spans();
-    // (ts_ns, is_begin, span index): E sorts before B at equal ts;
-    // among Es later spans close first (LIFO nesting), among Bs
-    // earlier spans open first.
-    let mut events: Vec<(u64, bool, usize)> = Vec::with_capacity(spans.len() * 2);
+    // One packed sort key per B/E event: the clock in the high 64 bits,
+    // then an is-begin bit (E sorts before B at the same instant), then
+    // the span index for a B (earlier spans open first) or
+    // `u32::MAX - index` for an E (later spans close first, so stacks
+    // nest). Keys are unique, so the unstable sort is deterministic.
+    let mut keys: Vec<u128> = Vec::with_capacity(spans.len() * 2);
     for (ix, s) in spans.iter().enumerate() {
-        events.push((s.start.as_nanos(), true, ix));
-        events.push((s.end.as_nanos(), false, ix));
+        let ix = u32::try_from(ix).expect("span index fits u32");
+        keys.push(u128::from(s.start.as_nanos()) << 64 | 1 << 32 | u128::from(ix));
+        keys.push(u128::from(s.end.as_nanos()) << 64 | u128::from(u32::MAX - ix));
     }
-    events.sort_by(|a, b| {
-        a.0.cmp(&b.0)
-            .then(a.1.cmp(&b.1)) // false (E) < true (B)
-            .then_with(|| if a.1 { a.2.cmp(&b.2) } else { b.2.cmp(&a.2) })
-    });
-    let mut out = String::with_capacity(events.len() * 96 + 64);
-    out.push_str("{\"traceEvents\": [\n");
-    for (ix, &(ts, is_begin, span_ix)) in events.iter().enumerate() {
-        let s = &spans[span_ix];
-        let tid = trace_tid(s.node);
-        if is_begin {
-            let _ = write!(
-                out,
-                "{{\"name\": \"{}\", \"cat\": \"{}\", \"ph\": \"B\", \
-                 \"ts\": {}.{:03}, \"pid\": {}, \"tid\": {}, \
-                 \"args\": {{\"span\": {}, \"parent\": {}, \"bytes\": {}}}}}",
-                s.kind.name(),
-                s.resource,
-                ts / 1_000,
-                ts % 1_000,
-                s.query,
-                tid,
-                span_ix,
-                s.parent
-                    .index()
-                    .map_or(-1i64, |p| i64::try_from(p).expect("span index fits i64")),
-                s.bytes,
-            );
+    keys.sort_unstable();
+    let mut out = ExportBuf::with_capacity(keys.len() * CHROME_EVENT_BYTES + 64);
+    out.str("{\"traceEvents\": [\n");
+    for (n, &key) in keys.iter().enumerate() {
+        let ts = (key >> 64) as u64;
+        let is_begin = key >> 32 & 1 == 1;
+        let span_ix = if is_begin {
+            key as u32
         } else {
-            let _ = write!(
-                out,
-                "{{\"name\": \"{}\", \"cat\": \"{}\", \"ph\": \"E\", \
-                 \"ts\": {}.{:03}, \"pid\": {}, \"tid\": {}}}",
-                s.kind.name(),
-                s.resource,
-                ts / 1_000,
-                ts % 1_000,
-                s.query,
-                tid,
-            );
+            u32::MAX - key as u32
+        };
+        let s = &spans[span_ix as usize];
+        out.str("{\"name\": \"");
+        out.str(s.kind.name());
+        out.str("\", \"cat\": \"");
+        out.str(s.resource.name());
+        out.str(if is_begin {
+            "\", \"ph\": \"B\", \"ts\": "
+        } else {
+            "\", \"ph\": \"E\", \"ts\": "
+        });
+        out.micros(ts);
+        out.str(", \"pid\": ");
+        out.u64(u64::from(s.query));
+        out.str(", \"tid\": ");
+        out.u64(trace_tid(s.node));
+        if is_begin {
+            out.str(", \"args\": {\"span\": ");
+            out.u64(u64::from(span_ix));
+            out.str(", \"parent\": ");
+            match s.parent.index() {
+                Some(p) => out.u64(p as u64),
+                None => out.str("-1"),
+            }
+            out.str(", \"bytes\": ");
+            out.u64(s.bytes);
+            out.str("}}");
+        } else {
+            out.str("}");
         }
-        out.push_str(if ix + 1 < events.len() { ",\n" } else { "\n" });
+        out.str(if n + 1 < keys.len() { ",\n" } else { "\n" });
     }
-    out.push_str("], \"displayTimeUnit\": \"ms\"}\n");
-    out
+    out.str("], \"displayTimeUnit\": \"ms\"}\n");
+    out.into_string()
 }
 
 /// One query's phase windows within a loaded run's shared span arena.
@@ -267,7 +282,7 @@ fn trace_tid(node: u32) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simcore::span::SpanKind;
+    use simcore::span::{SpanKind, SpanResource};
 
     fn t(ns: u64) -> SimTime {
         SimTime::from_nanos(ns)
@@ -279,17 +294,25 @@ mod tests {
         let mut arena = SpanArena::with_capacity(16);
         let read = arena.record(
             SpanId::NONE,
-            "disk_media",
+            SpanResource::DiskMedia,
             SpanKind::DiskRead,
             0,
             t(0),
             t(60),
             100,
         );
-        let cpu = arena.record(read, "worker_cpu", SpanKind::Cpu, 0, t(60), t(90), 100);
+        let cpu = arena.record(
+            read,
+            SpanResource::WorkerCpu,
+            SpanKind::Cpu,
+            0,
+            t(60),
+            t(90),
+            100,
+        );
         let barrier = arena.record(
             cpu,
-            "barrier",
+            SpanResource::Barrier,
             SpanKind::Barrier,
             FRONT_END_NODE,
             t(90),
@@ -298,7 +321,7 @@ mod tests {
         );
         let cpu2 = arena.record(
             SpanId::NONE,
-            "worker_cpu",
+            SpanResource::WorkerCpu,
             SpanKind::Cpu,
             1,
             t(100),
@@ -350,7 +373,7 @@ mod tests {
         // must charge 30ns (tail) + 40ns (head) to UNATTRIBUTED.
         let lone = arena.record(
             SpanId::NONE,
-            "worker_cpu",
+            SpanResource::WorkerCpu,
             SpanKind::Cpu,
             0,
             t(40),
@@ -383,14 +406,22 @@ mod tests {
         // [50, 100], the parent only the uncovered [0, 50].
         let parent = arena.record(
             SpanId::NONE,
-            "disk_media",
+            SpanResource::DiskMedia,
             SpanKind::DiskRead,
             0,
             t(0),
             t(80),
             0,
         );
-        let child = arena.record(parent, "worker_cpu", SpanKind::Cpu, 0, t(50), t(100), 0);
+        let child = arena.record(
+            parent,
+            SpanResource::WorkerCpu,
+            SpanKind::Cpu,
+            0,
+            t(50),
+            t(100),
+            0,
+        );
         let trace = SpanTrace {
             arena,
             phases: vec![PhaseSpans {
@@ -419,6 +450,33 @@ mod tests {
         assert_eq!(top[1].1.duration(), Duration::from_nanos(40)); // merge cpu
         assert!(trace.top_spans(0).is_empty());
         assert_eq!(trace.top_spans(99).len(), trace.arena.len());
+
+        // Equal durations break the tie by record order, for every k.
+        let mut arena = SpanArena::with_capacity(8);
+        for (start, len) in [(0, 5), (3, 9), (1, 5), (0, 9), (7, 0), (2, 5)] {
+            arena.record(
+                SpanId::NONE,
+                SpanResource::WorkerCpu,
+                SpanKind::Cpu,
+                0,
+                t(start),
+                t(start + len),
+                0,
+            );
+        }
+        let trace = SpanTrace {
+            arena,
+            phases: Vec::new(),
+        };
+        let order = [1, 3, 0, 2, 5, 4];
+        for k in 0..=order.len() + 1 {
+            let ids: Vec<usize> = trace
+                .top_spans(k)
+                .iter()
+                .map(|(id, _)| id.index().unwrap())
+                .collect();
+            assert_eq!(ids, order[..k.min(order.len())], "k = {k}");
+        }
     }
 
     #[test]

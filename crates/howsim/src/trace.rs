@@ -11,6 +11,15 @@ use std::fmt;
 
 use simcore::SimTime;
 
+use crate::export::ExportBuf;
+
+/// CSV output bytes reserved per event (the 64-disk join's rows average
+/// about 36 bytes).
+const CSV_EVENT_BYTES: usize = 40;
+/// JSON Lines output bytes reserved per event (the 64-disk join's lines
+/// average about 95 bytes).
+const JSONL_EVENT_BYTES: usize = 104;
+
 /// The kind of a traced event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TraceKind {
@@ -229,18 +238,24 @@ impl Trace {
     /// (`time_ns,phase,node,kind,bytes` with a header row; the front-end
     /// appears as node `fe`).
     pub fn to_csv(&self) -> String {
-        let mut out = String::from("time_ns,phase,node,kind,bytes\n");
+        let mut out = ExportBuf::with_capacity(32 + CSV_EVENT_BYTES * self.events.len());
+        out.str("time_ns,phase,node,kind,bytes\n");
         for e in &self.events {
-            out.push_str(&format!(
-                "{},{},{},{},{}\n",
-                e.time.as_nanos(),
-                e.phase,
-                e.node,
-                e.kind.name(),
-                e.bytes
-            ));
+            out.u64(e.time.as_nanos());
+            out.str(",");
+            out.u64(e.phase as u64);
+            out.str(",");
+            match e.node {
+                NodeId::Node(i) => out.u64(i as u64),
+                NodeId::FrontEnd => out.str("fe"),
+            }
+            out.str(",");
+            out.str(e.kind.name());
+            out.str(",");
+            out.u64(e.bytes);
+            out.str("\n");
         }
-        out
+        out.into_string()
     }
 
     /// Serializes as JSON Lines: a summary object first, then one object
@@ -248,34 +263,42 @@ impl Trace {
     /// so consumers of a bounded trace know they got a prefix.
     pub fn to_jsonl(&self) -> String {
         let s = self.summary();
-        let mut out = String::with_capacity(64 + 96 * self.events.len());
-        out.push_str(&format!(
-            "{{\"type\":\"summary\",\"total\":{},\"retained\":{},\"dropped\":{},\"truncated\":{}",
-            s.total, s.retained, s.dropped, s.truncated
-        ));
-        out.push_str(",\"counts\":{");
+        let mut out = ExportBuf::with_capacity(256 + JSONL_EVENT_BYTES * self.events.len());
+        out.str("{\"type\":\"summary\",\"total\":");
+        out.u64(s.total);
+        out.str(",\"retained\":");
+        out.u64(s.retained as u64);
+        out.str(",\"dropped\":");
+        out.u64(s.dropped);
+        out.str(if s.truncated {
+            ",\"truncated\":true,\"counts\":{"
+        } else {
+            ",\"truncated\":false,\"counts\":{"
+        });
         for (i, kind) in TraceKind::ALL.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{}\":{}", kind.name(), s.counts[i]));
+            out.str(if i > 0 { ",\"" } else { "\"" });
+            out.str(kind.name());
+            out.str("\":");
+            out.u64(s.counts[i]);
         }
-        out.push_str("}}\n");
+        out.str("}}\n");
         for e in &self.events {
-            let node = match e.node {
-                NodeId::Node(i) => i.to_string(),
-                NodeId::FrontEnd => "\"fe\"".to_string(),
-            };
-            out.push_str(&format!(
-                "{{\"type\":\"event\",\"time_ns\":{},\"phase\":{},\"node\":{},\"kind\":\"{}\",\"bytes\":{}}}\n",
-                e.time.as_nanos(),
-                e.phase,
-                node,
-                e.kind.name(),
-                e.bytes
-            ));
+            out.str("{\"type\":\"event\",\"time_ns\":");
+            out.u64(e.time.as_nanos());
+            out.str(",\"phase\":");
+            out.u64(e.phase as u64);
+            out.str(",\"node\":");
+            match e.node {
+                NodeId::Node(i) => out.u64(i as u64),
+                NodeId::FrontEnd => out.str("\"fe\""),
+            }
+            out.str(",\"kind\":\"");
+            out.str(e.kind.name());
+            out.str("\",\"bytes\":");
+            out.u64(e.bytes);
+            out.str("}\n");
         }
-        out
+        out.into_string()
     }
 }
 

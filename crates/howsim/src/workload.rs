@@ -76,6 +76,14 @@ fn parse_task(name: &str) -> Result<TaskKind, String> {
 /// arithmetic far from `u64` nanosecond overflow.
 pub const SPEC_HORIZON: Duration = Duration::from_secs(1_000_000_000);
 
+/// The most queries a `--load` spec may generate, and the largest
+/// `--admission` bound (`max_concurrent` or `queue_limit`) it may set:
+/// 100 000. Every query carries its own executor state, so a typo'd
+/// count would otherwise walk billions of arrival clocks and reserve
+/// gigabytes before the first event; no study in this repository comes
+/// within three orders of magnitude of it.
+pub const MAX_QUERIES: u32 = 100_000;
+
 /// The error for a spec whose clocks reach past [`SPEC_HORIZON`].
 pub(crate) fn beyond_horizon(what: &str) -> String {
     format!(
@@ -208,6 +216,11 @@ impl WorkloadSpec {
         if queries == 0 {
             return Err("workload needs at least one query".into());
         }
+        if queries > MAX_QUERIES {
+            return Err(format!(
+                "load spec '{load}' asks for {queries} queries; the limit is {MAX_QUERIES}"
+            ));
+        }
         let mix = Self::parse_mix(mix)?;
         let spec = WorkloadSpec {
             arrival,
@@ -339,7 +352,8 @@ impl Default for AdmissionPolicy {
 }
 
 impl AdmissionPolicy {
-    /// Parses the CLI form `<max_concurrent>:<queue_limit>`.
+    /// Parses the CLI form `<max_concurrent>:<queue_limit>`; neither may
+    /// exceed [`MAX_QUERIES`].
     pub fn parse_spec(s: &str) -> Result<Self, String> {
         let err = || format!("bad admission spec '{s}' (expected <max_concurrent>:<queue_limit>)");
         let (c, q) = s.split_once(':').ok_or_else(err)?;
@@ -347,6 +361,11 @@ impl AdmissionPolicy {
         let queue_limit: usize = q.parse().map_err(|_| err())?;
         if max_concurrent == 0 {
             return Err("admission control needs max_concurrent >= 1".into());
+        }
+        if max_concurrent.max(queue_limit) > MAX_QUERIES as usize {
+            return Err(format!(
+                "admission spec '{s}' exceeds the {MAX_QUERIES}-query limit"
+            ));
         }
         Ok(AdmissionPolicy {
             max_concurrent,
@@ -561,6 +580,30 @@ mod tests {
         assert!(AdmissionPolicy::parse_spec("four").is_err());
         assert!(DeadlinePolicy::parse_spec("120q").is_err());
         assert!(DeadlinePolicy::parse_spec("120s:x:5s").is_err());
+    }
+
+    #[test]
+    fn workload_size_is_capped_at_max_queries() {
+        // The limit itself is accepted; one past it is rejected by the
+        // count check, before a single arrival is generated.
+        let at = format!("closed:1:{MAX_QUERIES}");
+        assert_eq!(
+            WorkloadSpec::parse_spec(&at, "select").unwrap().queries,
+            MAX_QUERIES
+        );
+        for load in [
+            "closed:1:100001",
+            "poisson:1:4000000000",
+            "closed:1:4294967295@3",
+        ] {
+            let err = WorkloadSpec::parse_spec(load, "select").unwrap_err();
+            assert!(err.contains("the limit is 100000"), "{load}: {err}");
+        }
+        assert!(AdmissionPolicy::parse_spec("100000:100000").is_ok());
+        for adm in ["100001:4", "4:100001", "18446744073709551615:1"] {
+            let err = AdmissionPolicy::parse_spec(adm).unwrap_err();
+            assert!(err.contains("100000-query limit"), "{adm}: {err}");
+        }
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Spec validation through the binary: a fault aimed at a node the
 //! machine does not have is an error naming the spec and the machine, for
 //! every fault kind and for solo and loaded runs alike (an in-range fault
-//! still runs and reports itself); specs whose clocks would overflow and
-//! checkpoints past the run's end exit 1 with a message, never a panic.
+//! still runs and reports itself); specs whose clocks would overflow,
+//! workloads past the query limit and checkpoints past the run's end
+//! exit 1 with a message, never a panic.
 
 use std::process::Command;
 
@@ -68,6 +69,41 @@ fn clock_overflowing_specs_are_rejected() {
         assert!(
             stderr.contains(&format!("'{spec}'")),
             "names {spec}: {stderr}"
+        );
+    }
+}
+
+/// Oversized workloads are rejected while the arguments are parsed: the
+/// counts below are never generated or allocated.
+#[test]
+fn oversized_workloads_are_rejected() {
+    for (extra, message) in [
+        (
+            "--load closed:1:4000000000 --mix select",
+            "asks for 4000000000 queries; the limit is 100000",
+        ),
+        (
+            "--load poisson:0.5:100001 --mix select",
+            "asks for 100001 queries; the limit is 100000",
+        ),
+        (
+            "--load closed:1:2 --mix select --admission 4000000000:1",
+            "'4000000000:1' exceeds the 100000-query limit",
+        ),
+        (
+            "--load closed:1:2 --mix select --admission 2:18446744073709551615",
+            "'2:18446744073709551615' exceeds the 100000-query limit",
+        ),
+    ] {
+        let (code, stdout, stderr) = howsim_code(&format!("--arch active --disks 2 {extra}"));
+        assert_eq!(code, Some(1), "`{extra}` must exit 1: {stderr}");
+        assert!(
+            stdout.is_empty() && !stderr.contains("panicked"),
+            "{stderr}"
+        );
+        assert!(
+            stderr.contains(message),
+            "`{extra}` names the limit: {stderr}"
         );
     }
 }

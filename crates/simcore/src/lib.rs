@@ -48,7 +48,7 @@ pub use metrics::{Counter, GaugeSeries, UtilizationSampler};
 pub use queue::{EventQueue, QueueBackend, QueueSnapshot};
 pub use rng::SplitMix64;
 pub use server::{FifoServer, MultiServer};
-pub use span::{Span, SpanArena, SpanId, SpanKind};
+pub use span::{Span, SpanArena, SpanId, SpanKind, SpanResource};
 pub use state::{StateError, StateReader, StateWriter};
 pub use stats::{Accumulator, BusyTracker};
 pub use time::{Bandwidth, Duration, SimTime};

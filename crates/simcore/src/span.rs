@@ -57,8 +57,9 @@ impl SpanId {
     }
 }
 
-/// What kind of work a span covers.
+/// What kind of work a span covers (one byte in a [`Span`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
 pub enum SpanKind {
     /// A batch read from disk media into node memory.
     DiskRead,
@@ -92,23 +93,74 @@ impl SpanKind {
     }
 }
 
+/// The resource a span ran on: a one-byte index into a fixed name
+/// table. The first seven are the machine's resource classes (their names
+/// are the `howsim` metrics keys); the last two are the synthetic
+/// resources of phase barriers and end-of-phase disk positioning.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[repr(u8)]
+pub enum SpanResource {
+    /// Disk media: heads, seeks, rotation.
+    DiskMedia,
+    /// A worker node's processor.
+    WorkerCpu,
+    /// The front-end processor.
+    FrontEndCpu,
+    /// The peer interconnect.
+    Interconnect,
+    /// The front-end's attachment.
+    FrontEndLink,
+    /// The SMP inter-board memory fabric.
+    MemoryFabric,
+    /// Fault-recovery re-reads and re-shipping.
+    Recovery,
+    /// A phase's global barrier.
+    Barrier,
+    /// Out-of-band disk positioning at the end of a phase.
+    Positioning,
+}
+
+impl SpanResource {
+    /// Every resource, in index order.
+    pub const ALL: [SpanResource; 9] = [
+        SpanResource::DiskMedia,
+        SpanResource::WorkerCpu,
+        SpanResource::FrontEndCpu,
+        SpanResource::Interconnect,
+        SpanResource::FrontEndLink,
+        SpanResource::MemoryFabric,
+        SpanResource::Recovery,
+        SpanResource::Barrier,
+        SpanResource::Positioning,
+    ];
+
+    /// Stable key (critical-path tables and the trace export's `cat`).
+    pub fn name(self) -> &'static str {
+        match self {
+            SpanResource::DiskMedia => "disk_media",
+            SpanResource::WorkerCpu => "worker_cpu",
+            SpanResource::FrontEndCpu => "front_end_cpu",
+            SpanResource::Interconnect => "interconnect",
+            SpanResource::FrontEndLink => "front_end_link",
+            SpanResource::MemoryFabric => "memory_fabric",
+            SpanResource::Recovery => "recovery",
+            SpanResource::Barrier => "barrier",
+            SpanResource::Positioning => "disk_positioning",
+        }
+    }
+}
+
 /// One recorded span. `start` is when the work was causally initiated
 /// (its parent's completion time), `end` when it finished; the interval
 /// includes any queueing at the resource, so chained spans tile time with
 /// no gaps. The wait/service split within the interval comes from the
 /// resource models' wait accounting, not from the span itself.
+///
+/// Fields are declared widest first: three `u64`s, three `u32`s and two
+/// one-byte enums pack into 40 bytes (two of them tail padding), so an
+/// enabled arena writes 40 bytes per span.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Span {
-    /// The span whose completion caused this one ([`SpanId::NONE`] for
-    /// phase roots).
-    pub parent: SpanId,
-    /// The resource the work ran on (an interned static key, e.g.
-    /// `"disk_media"`).
-    pub resource: &'static str,
-    /// The kind of work.
-    pub kind: SpanKind,
-    /// Worker node ordinal, or [`FRONT_END_NODE`].
-    pub node: u32,
     /// When the work was initiated.
     pub start: SimTime,
     /// When the work completed (`>= start`; equality is a zero-duration
@@ -116,11 +168,22 @@ pub struct Span {
     pub end: SimTime,
     /// Payload bytes the span moved or processed (0 for synthetic spans).
     pub bytes: u64,
+    /// The span whose completion caused this one ([`SpanId::NONE`] for
+    /// phase roots).
+    pub parent: SpanId,
+    /// Worker node ordinal, or [`FRONT_END_NODE`].
+    pub node: u32,
     /// Query lane the span belongs to (0 for single-query runs; the
     /// multi-query executor stamps each span with its query's id so
     /// concurrent queries stay distinguishable in trace exports).
     pub query: u32,
+    /// The resource the work ran on.
+    pub resource: SpanResource,
+    /// The kind of work.
+    pub kind: SpanKind,
 }
+
+const _: () = assert!(std::mem::size_of::<Span>() == 40);
 
 impl Span {
     /// The span's length (zero for instantaneous spans).
@@ -129,8 +192,10 @@ impl Span {
     }
 }
 
-/// Default arena capacity: 2 Mi spans (~96 MB when enabled), enough for
-/// the largest figure configurations in this repository with headroom.
+/// Default arena capacity: 2 Mi spans (84 MB of 40-byte spans reserved
+/// when enabled; pages are touched only as spans are written), enough
+/// for the largest figure configurations in this repository with
+/// headroom.
 pub const DEFAULT_SPAN_CAPACITY: usize = 1 << 21;
 
 /// A bounded arena of spans.
@@ -144,16 +209,16 @@ pub const DEFAULT_SPAN_CAPACITY: usize = 1 << 21;
 /// # Example
 ///
 /// ```
-/// use simcore::span::{SpanArena, SpanId, SpanKind};
+/// use simcore::span::{SpanArena, SpanId, SpanKind, SpanResource};
 /// use simcore::SimTime;
 ///
 /// let mut arena = SpanArena::enabled();
 /// let root = arena.record(
-///     SpanId::NONE, "disk_media", SpanKind::DiskRead, 0,
+///     SpanId::NONE, SpanResource::DiskMedia, SpanKind::DiskRead, 0,
 ///     SimTime::ZERO, SimTime::from_nanos(100), 4096,
 /// );
 /// let child = arena.record(
-///     root, "worker_cpu", SpanKind::Cpu, 0,
+///     root, SpanResource::WorkerCpu, SpanKind::Cpu, 0,
 ///     SimTime::from_nanos(100), SimTime::from_nanos(150), 4096,
 /// );
 /// assert!(child.is_some());
@@ -219,7 +284,7 @@ impl SpanArena {
     pub fn record(
         &mut self,
         parent: SpanId,
-        resource: &'static str,
+        resource: SpanResource,
         kind: SpanKind,
         node: u32,
         start: SimTime,
@@ -242,14 +307,14 @@ impl SpanArena {
         }
         let id = SpanId(self.spans.len() as u32);
         self.spans.push(Span {
-            parent,
-            resource,
-            kind,
-            node,
             start,
             end,
             bytes,
+            parent,
+            node,
             query: self.query,
+            resource,
+            kind,
         });
         id
     }
@@ -260,7 +325,7 @@ impl SpanArena {
     pub fn open(
         &mut self,
         parent: SpanId,
-        resource: &'static str,
+        resource: SpanResource,
         kind: SpanKind,
         node: u32,
         start: SimTime,
@@ -331,11 +396,19 @@ mod tests {
     use crate::time::Duration;
 
     #[test]
+    fn resource_table_is_indexed_by_discriminant() {
+        for (ix, r) in SpanResource::ALL.into_iter().enumerate() {
+            assert_eq!(r as usize, ix);
+            assert!(SpanResource::ALL[..ix].iter().all(|o| o.name() != r.name()));
+        }
+    }
+
+    #[test]
     fn disabled_arena_records_nothing() {
         let mut a = SpanArena::disabled();
         let id = a.record(
             SpanId::NONE,
-            "cpu",
+            SpanResource::WorkerCpu,
             SpanKind::Cpu,
             0,
             SimTime::ZERO,
@@ -352,7 +425,15 @@ mod tests {
     fn zero_duration_spans_are_legal() {
         let mut a = SpanArena::with_capacity(4);
         let t = SimTime::from_nanos(42);
-        let id = a.record(SpanId::NONE, "cpu", SpanKind::Cpu, 3, t, t, 0);
+        let id = a.record(
+            SpanId::NONE,
+            SpanResource::WorkerCpu,
+            SpanKind::Cpu,
+            3,
+            t,
+            t,
+            0,
+        );
         let s = a.get(id).expect("recorded");
         assert_eq!(s.duration(), Duration::ZERO);
         assert_eq!(s.node, 3);
@@ -363,13 +444,20 @@ mod tests {
         let mut a = SpanArena::with_capacity(4);
         let parent = a.open(
             SpanId::NONE,
-            "disk_media",
+            SpanResource::DiskMedia,
             SpanKind::DiskRead,
             0,
             SimTime::ZERO,
             100,
         );
-        let child = a.open(parent, "worker_cpu", SpanKind::Cpu, 0, SimTime::ZERO, 100);
+        let child = a.open(
+            parent,
+            SpanResource::WorkerCpu,
+            SpanKind::Cpu,
+            0,
+            SimTime::ZERO,
+            100,
+        );
         // Parent closes first — legal: slots are independent.
         a.close(parent, SimTime::from_nanos(10));
         a.close(child, SimTime::from_nanos(30));
@@ -383,7 +471,15 @@ mod tests {
         let mut a = SpanArena::with_capacity(2);
         let t = SimTime::ZERO;
         for i in 0..10u64 {
-            let id = a.record(SpanId::NONE, "cpu", SpanKind::Cpu, 0, t, t, i);
+            let id = a.record(
+                SpanId::NONE,
+                SpanResource::WorkerCpu,
+                SpanKind::Cpu,
+                0,
+                t,
+                t,
+                i,
+            );
             assert_eq!(id.is_some(), i < 2);
         }
         assert_eq!(a.len(), 2);
@@ -397,13 +493,45 @@ mod tests {
         let mut a = SpanArena::with_capacity(1);
         let t = SimTime::ZERO;
         a.set_query(7);
-        let kept = a.record(SpanId::NONE, "cpu", SpanKind::Cpu, 0, t, t, 0);
+        let kept = a.record(
+            SpanId::NONE,
+            SpanResource::WorkerCpu,
+            SpanKind::Cpu,
+            0,
+            t,
+            t,
+            0,
+        );
         assert_eq!(a.get(kept).unwrap().query, 7);
         // Lane 7 then lane 2 overflow; lane 0 never drops.
-        a.record(SpanId::NONE, "cpu", SpanKind::Cpu, 0, t, t, 0);
+        a.record(
+            SpanId::NONE,
+            SpanResource::WorkerCpu,
+            SpanKind::Cpu,
+            0,
+            t,
+            t,
+            0,
+        );
         a.set_query(2);
-        a.record(SpanId::NONE, "cpu", SpanKind::Cpu, 0, t, t, 0);
-        a.record(SpanId::NONE, "cpu", SpanKind::Cpu, 0, t, t, 0);
+        a.record(
+            SpanId::NONE,
+            SpanResource::WorkerCpu,
+            SpanKind::Cpu,
+            0,
+            t,
+            t,
+            0,
+        );
+        a.record(
+            SpanId::NONE,
+            SpanResource::WorkerCpu,
+            SpanKind::Cpu,
+            0,
+            t,
+            t,
+            0,
+        );
         assert_eq!(a.dropped(), 3);
         assert_eq!(a.dropped_for(7), 1);
         assert_eq!(a.dropped_for(2), 2);
@@ -418,7 +546,7 @@ mod tests {
             .map(|i| {
                 a.record(
                     SpanId::NONE,
-                    "cpu",
+                    SpanResource::WorkerCpu,
                     SpanKind::Cpu,
                     i,
                     SimTime::from_nanos(u64::from(i)),
