@@ -1,5 +1,5 @@
 //! Head-to-head microbenchmarks of the event-queue backends: the
-//! arena-backed calendar wheel (default) and the binary heap it
+//! arena-backed hierarchical timing wheel (default) and the binary heap it
 //! replaced.
 //!
 //! Both backends run the same workloads so a single report shows the
@@ -16,8 +16,8 @@
 //!   same churn squeezed into a window narrower than one bucket, so
 //!   every event lands in the same bucket and the wheel degrades to
 //!   its lazy in-bucket sort.
-//! - `far_horizon_5k`: events past the wheel's span, exercising the
-//!   overflow heap and bucket migration.
+//! - `far_horizon_5k`: events past the wheel's fine span, exercising
+//!   the coarse levels and their cascades.
 //!
 //! Before the criterion runs, the harness prints an allocations/event
 //! table for the steady-churn workload (this binary registers
@@ -97,16 +97,16 @@ fn narrow_churn(c: &mut Criterion) {
 }
 
 fn far_horizon_overflow(c: &mut Criterion) {
-    // Events beyond the wheel's horizon land in the overflow heap and
-    // migrate into buckets as time advances; this measures that path
-    // against the plain heap, which treats all horizons alike.
+    // Events beyond the wheel's fine horizon land on its coarse levels
+    // and cascade into fine buckets as time advances; this measures
+    // that path against the plain heap, which treats all horizons alike.
     for (backend, name) in BACKENDS {
         c.bench_function(&format!("queue/{name}_far_horizon_5k"), |b| {
             b.iter(|| {
                 let mut rng = SplitMix64::new(3);
                 let mut q = EventQueue::with_backend(backend);
                 for i in 0..5_000u64 {
-                    // Spread across ~4 seconds — far past one wheel span.
+                    // Spread across ~73 minutes — far past the fine span.
                     q.push(SimTime::from_nanos(rng.next_below(1 << 42)), i);
                 }
                 let mut sum = 0u64;

@@ -6,7 +6,7 @@
 //! directory:
 //!
 //! 1. Event-loop throughput on the 64-disk cluster join on both queue
-//!    backends — the arena calendar wheel and the binary heap baseline
+//!    backends — the arena timing wheel and the binary heap baseline
 //!    (the reports are asserted identical, so the comparison is pure
 //!    scheduler cost).
 //! 2. The `--quick` figure sweeps with a cold result cache and again
@@ -391,60 +391,27 @@ fn main() {
     eprintln!("scheduler throughput (cluster 64 join, wheel and heap)...");
     let (events, [wheel_s, heap_s]) = scheduler_throughput(20);
     let (wheel_eps, heap_eps) = (events as f64 / wheel_s, events as f64 / heap_s);
-    assert!(
-        wheel_eps >= heap_eps,
-        "calendar wheel ({wheel_eps:.0} events/s) must not lose to the heap ({heap_eps:.0})"
-    );
     let sched_speedup = heap_s / wheel_s;
 
     eprintln!("tracing overhead (cluster 64 join, profiled vs plain)...");
     assert_tracing_off_allocates_nothing();
     let (trace_off_s, trace_on_s, spans_recorded) = tracing_overhead(20);
     let trace_overhead = trace_on_s / trace_off_s - 1.0;
-    // The design target is <3%, but this event loop retires ~10M
-    // events/s, so writing one 56-byte span per event (plus the page
-    // faults of a fresh 600k-span arena each run) costs a measured
-    // ~35% — inherent to full causal capture at this event rate, not
-    // fixable by micro-tuning. The enforced ceiling keeps profiling
-    // from ever doubling a run; the real figure is recorded below.
-    assert!(
-        trace_overhead < 0.50,
-        "tracing-on overhead {:.1}% exceeds the 50% ceiling",
-        trace_overhead * 100.0
-    );
 
     eprintln!("loaded multi-query executor (cluster 64, 4-query closed join)...");
     let (loaded_events, loaded_s) = loaded_throughput(10);
     let loaded_eps = loaded_events as f64 / loaded_s;
     eprintln!("admission-layer overhead (1-query workload vs solo run)...");
     let adm_overhead = admission_overhead(10);
-    // The per-event cost of the control plane is a few table lookups;
-    // the 3% target holds on the reference host, but CI runners are
-    // noisy, so the enforced ceiling is looser.
-    assert!(
-        adm_overhead < 0.15,
-        "admission-layer overhead {:.1}% exceeds the 15% ceiling",
-        adm_overhead * 100.0
-    );
 
     eprintln!("copy-on-fork checkpointing: availability suite, fork vs scratch (cache off)...");
     cache::set_enabled(false);
     sweep::set_default_jobs(1);
     let (avail_scratch_s, avail_fork_s, prefix_runs, forked_runs) = availability_fork_probe(2);
     let avail_speedup = avail_scratch_s / avail_fork_s;
-    assert!(
-        avail_speedup >= 1.8,
-        "availability fork speedup {avail_speedup:.2}x below the 1.8x floor \
-         (scratch {avail_scratch_s:.3}s, fork {avail_fork_s:.3}s)"
-    );
     eprintln!("copy-on-fork checkpointing: load-sweep ladder, fork vs scratch (cache off)...");
     let (ls_scratch_s, ls_fork_s) = loadsweep_fork_probe(2);
     let ls_speedup = ls_scratch_s / ls_fork_s;
-    assert!(
-        ls_speedup >= 1.1,
-        "load-sweep fork speedup {ls_speedup:.2}x below the 1.1x floor \
-         (scratch {ls_scratch_s:.3}s, fork {ls_fork_s:.3}s)"
-    );
     cache::set_enabled(true);
     eprintln!("checkpoint snapshot/restore cost (cluster 64 join at 50%)...");
     let (ckpt_bytes, snap_s, restore_s) = checkpoint_probe(10);
@@ -529,4 +496,40 @@ fn main() {
     );
     std::fs::write("BENCH_PR9.json", &json).expect("write BENCH_PR9.json");
     print!("{json}");
+
+    // Floors and ceilings are checked after the JSON is written, so a
+    // run that trips one still leaves every measurement behind.
+    assert!(
+        wheel_eps >= heap_eps,
+        "calendar wheel ({wheel_eps:.0} events/s) must not lose to the heap ({heap_eps:.0})"
+    );
+    // The design target is <3%, but this event loop retires ~10M
+    // events/s, so writing one 40-byte span per event (plus the page
+    // faults of a fresh 600k-span arena each run) costs a measured
+    // ~35% — inherent to full causal capture at this event rate, not
+    // fixable by micro-tuning. The enforced ceiling keeps profiling
+    // from ever doubling a run; the real figure is recorded in the JSON.
+    assert!(
+        trace_overhead < 0.50,
+        "tracing-on overhead {:.1}% exceeds the 50% ceiling",
+        trace_overhead * 100.0
+    );
+    // The per-event cost of the control plane is a few table lookups;
+    // the 3% target holds on the reference host, but CI runners are
+    // noisy, so the enforced ceiling is looser.
+    assert!(
+        adm_overhead < 0.15,
+        "admission-layer overhead {:.1}% exceeds the 15% ceiling",
+        adm_overhead * 100.0
+    );
+    assert!(
+        avail_speedup >= 1.8,
+        "availability fork speedup {avail_speedup:.2}x below the 1.8x floor \
+         (scratch {avail_scratch_s:.3}s, fork {avail_fork_s:.3}s)"
+    );
+    assert!(
+        ls_speedup >= 1.1,
+        "load-sweep fork speedup {ls_speedup:.2}x below the 1.1x floor \
+         (scratch {ls_scratch_s:.3}s, fork {ls_fork_s:.3}s)"
+    );
 }

@@ -50,20 +50,57 @@ struct Segment {
     bps: f64,
     /// Seconds per sector at `bps` (`SECTOR_BYTES / bps`, precomputed).
     sector_secs: f64,
+    /// Certified integer nanoseconds per sector (see [`Segment::advance`]).
+    sector_ns_hi: u64,
 }
 
 impl Segment {
-    /// Media-rate constants `(bytes/s, seconds/sector)` at `pos`, served
-    /// from the memoized zone window when `pos` is still inside it.
-    fn rate_at(&mut self, pos: u64, geo: &Geometry) -> (f64, f64) {
+    /// A segment whose stream consumed up to `end` at `done`, with an
+    /// empty zone memo (`lo > hi`) that forces a fetch on first use.
+    fn new(end: u64, done: SimTime, last_use: u64) -> Self {
+        Segment {
+            next_lba: end,
+            media_pos: end,
+            as_of: done,
+            last_use,
+            zone_lo: 1,
+            zone_hi: 0,
+            bps: 0.0,
+            sector_secs: 0.0,
+            sector_ns_hi: 0,
+        }
+    }
+
+    /// Points the zone memo (and so `bps`, `sector_secs` and
+    /// `sector_ns_hi`) at the zone of `pos`; a no-op while `pos` stays
+    /// inside the memoized window.
+    fn load_zone(&mut self, pos: u64, geo: &Geometry) {
         if !(self.zone_lo <= pos && pos < self.zone_hi) {
-            let (lo, hi, bps, sector_secs) = geo.zone_window(pos);
+            let (lo, hi, bps, sector_secs, sector_ns_hi) = geo.zone_window(pos);
             self.zone_lo = lo;
             self.zone_hi = hi;
             self.bps = bps;
             self.sector_secs = sector_secs;
+            self.sector_ns_hi = sector_ns_hi;
         }
-        (self.bps, self.sector_secs)
+    }
+
+    /// `min(media_pos + ⌊elapsed / sector_secs⌋, lim)`: the read-ahead
+    /// position `elapsed` after `as_of`, clamped at `lim`, for a stream
+    /// whose memo holds the zone of `media_pos`. When `elapsed` is
+    /// certain to carry the head to `lim` (at least `lim − media_pos`
+    /// sectors at the certified rate), the float divide is skipped; it
+    /// would be clamped away.
+    #[inline]
+    fn advance(&self, elapsed: Duration, lim: u64) -> u64 {
+        let need = lim.saturating_sub(self.media_pos);
+        if need
+            .checked_mul(self.sector_ns_hi)
+            .is_some_and(|ns| elapsed.as_nanos() >= ns)
+        {
+            return lim;
+        }
+        (self.media_pos + (elapsed.as_secs_f64() / self.sector_secs) as u64).min(lim)
     }
 }
 
@@ -120,12 +157,8 @@ impl SegmentedCache {
         if seg.media_pos >= geo.total_sectors() {
             return geo.total_sectors();
         }
-        let pos = seg.media_pos.min(geo.total_sectors() - 1);
-        let (_, sector_secs) = seg.rate_at(pos, geo);
-        let advanced = (elapsed.as_secs_f64() / sector_secs) as u64;
-        (seg.media_pos + advanced)
-            .min(seg.next_lba + cap)
-            .min(geo.total_sectors())
+        seg.load_zone(seg.media_pos, geo);
+        seg.advance(elapsed, (seg.next_lba + cap).min(geo.total_sectors()))
     }
 
     /// Looks up a read of `sectors` at `lba`. On a hit, returns when the
@@ -142,23 +175,16 @@ impl SegmentedCache {
         };
         let end = lba + sectors;
         let total = geo.total_sectors();
-        // Inlined [`Self::media_pos_at`]: the stream's media-rate constants
-        // are shared with the post-hit position update below, so the zone
-        // memo is consulted once and the advance divide runs at most twice
-        // per hit.
-        let (at_end, sector_secs, advanced) = if seg.media_pos >= total {
-            (true, 0.0, 0)
-        } else {
-            let (_, ss) = seg.rate_at(seg.media_pos.min(total - 1), geo);
-            let elapsed = now.saturating_since(seg.as_of);
-            (false, ss, (elapsed.as_secs_f64() / ss) as u64)
-        };
+        // Inlined [`Self::media_pos_at`], sharing `elapsed` with the
+        // post-hit position update below. Each read-ahead position skips
+        // its divide when the segment capacity is sure to clamp it.
+        let at_end = seg.media_pos >= total;
+        let elapsed = now.saturating_since(seg.as_of);
         let pos_now = if at_end {
             total
         } else {
-            (seg.media_pos + advanced)
-                .min(seg.next_lba + cap)
-                .min(total)
+            seg.load_zone(seg.media_pos, geo);
+            seg.advance(elapsed, (seg.next_lba + cap).min(total))
         };
         if lba > pos_now {
             // Skipped ahead of the read-ahead head: treat as a miss.
@@ -171,19 +197,23 @@ impl SegmentedCache {
             if end > total {
                 return Lookup::Miss;
             }
-            let (bps, _) = seg.rate_at(pos_now.min(total - 1), geo);
-            let t = Duration::from_secs_f64(remaining as f64 * SECTOR_BYTES as f64 / bps);
+            seg.load_zone(pos_now.min(total - 1), geo);
+            let t = Duration::from_secs_f64(remaining as f64 * SECTOR_BYTES as f64 / seg.bps);
             now + t
         };
-        // Advance the stream: prefetch continues from max(end, pos at ready).
+        // Advance the stream: prefetch continues from max(end, pos at
+        // ready). The memo may have moved to `pos_now`'s zone above, so
+        // refetch `media_pos`'s (a no-op inside one zone).
+        let lim = (end + cap).min(total);
         let pos_ready = if at_end {
             total
-        } else if data_ready == now {
-            (seg.media_pos + advanced).min(end + cap).min(total)
+        } else if data_ready == now && pos_now < (seg.next_lba + cap).min(total) {
+            // Unclamped above, so `pos_now` is the exact advance; `lim`
+            // is no tighter (`end > next_lba`).
+            pos_now
         } else {
-            let elapsed = data_ready.saturating_since(seg.as_of);
-            let advanced = (elapsed.as_secs_f64() / sector_secs) as u64;
-            (seg.media_pos + advanced).min(end + cap).min(total)
+            seg.load_zone(seg.media_pos, geo);
+            seg.advance(data_ready.saturating_since(seg.as_of), lim)
         };
         seg.next_lba = end;
         seg.media_pos = end.max(pos_ready);
@@ -210,16 +240,7 @@ impl SegmentedCache {
             seg.last_use = stamp;
             return;
         }
-        let seg = Segment {
-            next_lba: end,
-            media_pos: end,
-            as_of: done,
-            last_use: stamp,
-            zone_lo: 1,
-            zone_hi: 0,
-            bps: 0.0,
-            sector_secs: 0.0,
-        };
+        let seg = Segment::new(end, done, stamp);
         if self.segments.len() < self.max_segments {
             self.segments.push(seg);
         } else {
@@ -290,15 +311,8 @@ impl SegmentedCache {
         for _ in 0..n {
             let [next_lba, media_pos, as_of, last_use] = r.array("seg")?;
             self.segments.push(Segment {
-                next_lba,
                 media_pos,
-                as_of: SimTime::from_nanos(as_of),
-                last_use,
-                // Empty memo window forces a refetch on first use.
-                zone_lo: 1,
-                zone_hi: 0,
-                bps: 0.0,
-                sector_secs: 0.0,
+                ..Segment::new(next_lba, SimTime::from_nanos(as_of), last_use)
             });
         }
         Ok(())
@@ -404,5 +418,191 @@ mod tests {
             c.lookup(later, b + 512, 64, &geo),
             Lookup::Hit { .. }
         ));
+    }
+
+    impl SegmentedCache {
+        /// The float reference for [`SegmentedCache::lookup`]: both
+        /// read-ahead positions computed with the divide, always.
+        fn lookup_reference(
+            &mut self,
+            now: SimTime,
+            lba: u64,
+            sectors: u64,
+            geo: &Geometry,
+        ) -> Lookup {
+            let cap = self.capacity_sectors;
+            let stamp = self.tick();
+            let Some(seg) = self
+                .segments
+                .iter_mut()
+                .find(|s| lba == s.next_lba || (lba >= s.next_lba && lba < s.next_lba + cap))
+            else {
+                return Lookup::Miss;
+            };
+            let end = lba + sectors;
+            let total = geo.total_sectors();
+            let (at_end, sector_secs, advanced) = if seg.media_pos >= total {
+                (true, 0.0, 0)
+            } else {
+                seg.load_zone(seg.media_pos.min(total - 1), geo);
+                let (ss, elapsed) = (seg.sector_secs, now.saturating_since(seg.as_of));
+                (false, ss, (elapsed.as_secs_f64() / ss) as u64)
+            };
+            let pos_now = if at_end {
+                total
+            } else {
+                (seg.media_pos + advanced)
+                    .min(seg.next_lba + cap)
+                    .min(total)
+            };
+            if lba > pos_now {
+                return Lookup::Miss;
+            }
+            let data_ready = if end <= pos_now {
+                now
+            } else {
+                let remaining = end - pos_now;
+                if end > total {
+                    return Lookup::Miss;
+                }
+                seg.load_zone(pos_now.min(total - 1), geo);
+                let t = Duration::from_secs_f64(remaining as f64 * SECTOR_BYTES as f64 / seg.bps);
+                now + t
+            };
+            let pos_ready = if at_end {
+                total
+            } else if data_ready == now {
+                (seg.media_pos + advanced).min(end + cap).min(total)
+            } else {
+                let elapsed = data_ready.saturating_since(seg.as_of);
+                let advanced = (elapsed.as_secs_f64() / sector_secs) as u64;
+                (seg.media_pos + advanced).min(end + cap).min(total)
+            };
+            seg.next_lba = end;
+            seg.media_pos = end.max(pos_ready);
+            seg.as_of = data_ready;
+            seg.last_use = stamp;
+            Lookup::Hit { data_ready }
+        }
+
+        /// The checkpointed state of every segment, for comparisons.
+        fn state(&self) -> Vec<[u64; 4]> {
+            self.segments
+                .iter()
+                .map(|s| [s.next_lba, s.media_pos, s.as_of.as_nanos(), s.last_use])
+                .collect()
+        }
+    }
+
+    /// Replays one random stream workload on two caches, one through
+    /// `lookup` and one through the float reference, asserting equal
+    /// outcomes and equal segment state after every step. Streams start
+    /// near zone boundaries and the end of the disk; gaps range from
+    /// back-to-back (`as_of > now` after a slow hit) to long idles that
+    /// fill the segment.
+    fn replay_against_reference(seed: u64, steps: usize) {
+        let (mut fast, geo) = setup();
+        let mut slow = fast.clone();
+        let mut rng = simcore::SplitMix64::new(seed);
+        let total = geo.total_sectors();
+        let zones = geo.zones();
+        let mut now = SimTime::ZERO;
+        let mut streams: Vec<u64> = Vec::new();
+        for _ in 0..steps {
+            let gap = match rng.next_below(4) {
+                0 => 0,
+                1 => rng.next_below(200_000),
+                2 => rng.next_below(20_000_000),
+                _ => rng.next_below(2_000_000_000),
+            };
+            now += Duration::from_nanos(gap);
+            let sectors = [8, 128, 512, 1_024][rng.next_below(4) as usize];
+            if streams.is_empty() || rng.next_below(8) == 0 {
+                let z = &zones[rng.next_below(zones.len() as u64) as usize];
+                let start = match rng.next_below(3) {
+                    0 => z.first_lba + z.sectors - rng.next_below(4_096).min(z.sectors),
+                    1 => total - rng.next_below(4_096) - sectors,
+                    _ => z.first_lba + rng.next_below(z.sectors),
+                }
+                .min(total - sectors);
+                // A mechanical read finishing in the future (`as_of > now`).
+                let done = now + Duration::from_nanos(rng.next_below(30_000_000));
+                fast.install(done, start, sectors);
+                slow.install(done, start, sectors);
+                streams.push(start + sectors);
+                continue;
+            }
+            let i = rng.next_below(streams.len() as u64) as usize;
+            let lba = streams[i] + rng.next_below(3) * rng.next_below(64);
+            if lba + sectors > total {
+                streams.swap_remove(i);
+                continue;
+            }
+            let a = fast.lookup(now, lba, sectors, &geo);
+            let b = slow.lookup_reference(now, lba, sectors, &geo);
+            assert_eq!(a, b, "seed {seed}: lookup at {lba} +{sectors} @ {now}");
+            assert_eq!(fast.state(), slow.state(), "seed {seed}");
+            if let Lookup::Hit { .. } = a {
+                streams[i] = lba + sectors;
+            }
+            if rng.next_below(16) == 0 {
+                let until = now + Duration::from_nanos(rng.next_below(50_000_000));
+                fast.pause(now, until, &geo);
+                slow.pause(now, until, &geo);
+                assert_eq!(fast.state(), slow.state(), "seed {seed}: pause");
+            }
+        }
+    }
+
+    #[test]
+    fn lookup_matches_float_reference_on_scan_streams() {
+        for seed in 0..40 {
+            replay_against_reference(seed, 400);
+        }
+    }
+
+    #[test]
+    fn lookup_matches_float_reference_at_end_of_disk() {
+        // A stream whose read-ahead already reached the last sector
+        // (`at_end`) and one that reaches it during the lookup.
+        let (mut fast, geo) = setup();
+        let total = geo.total_sectors();
+        for start in [total - 64, total - 1_024, total - 40_000] {
+            let mut slow = fast.clone();
+            fast.install(SimTime::ZERO, start, 64);
+            slow.install(SimTime::ZERO, start, 64);
+            let mut now = SimTime::ZERO;
+            let mut lba = start + 64;
+            while lba + 8 <= total {
+                now += Duration::from_millis(3);
+                let a = fast.lookup(now, lba, 8, &geo);
+                assert_eq!(a, slow.lookup_reference(now, lba, 8, &geo));
+                assert_eq!(fast.state(), slow.state());
+                lba += 8 * 97;
+            }
+        }
+    }
+
+    #[test]
+    fn certified_bound_is_never_looser_than_the_divide() {
+        // At exactly `need × sector_ns_hi` ns, the divide must already
+        // reach `need`; one bound-width below, it may or may not.
+        let geo = setup().1;
+        for zn_lba in geo.zones().iter().map(|z| z.first_lba) {
+            let (_, _, _, ss, hi) = geo.zone_window(zn_lba);
+            for need in [1u64, 2, 7, 64, 1_000, 24_576, 1 << 20, 17_000_000] {
+                let ns = need * hi;
+                let q = (Duration::from_nanos(ns).as_secs_f64() / ss) as u64;
+                assert!(q >= need, "need {need}: {q} at {ns} ns");
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// Random stream workloads: `lookup` equals the float reference.
+        #[test]
+        fn prop_lookup_matches_float_reference(seed in 1_000u64..1_000_000) {
+            replay_against_reference(seed, 200);
+        }
     }
 }

@@ -75,6 +75,21 @@ struct ZoneRate {
     bps: f64,
     /// Seconds for one sector to stream past the head (`SECTOR_BYTES / bps`).
     sector_secs: f64,
+    /// Integer nanoseconds per sector, rounded up with margin: an
+    /// elapsed time of at least `need × sector_ns_hi` ns is certain to
+    /// make `(elapsed.as_secs_f64() / sector_secs) as u64 >= need`, so
+    /// the read-ahead model can skip that divide when it would be clamped.
+    sector_ns_hi: u64,
+}
+
+/// An integer upper bound on `sector_secs × 1e9` with a relative margin
+/// of 2^-40, far above the three roundings (`u64 → f64`, `/ 1e9`,
+/// `/ sector_secs`) between an elapsed nanosecond count and the float
+/// sector count the read-ahead model truncates. If `ns >= need ×` this
+/// bound, that float quotient is at least `need × (1 + 2^-41)`, so its
+/// truncation is at least `need`.
+fn certified_ns_per_sector(sector_secs: f64) -> u64 {
+    (sector_secs * 1e9 * (1.0 + f64::EPSILON * 4096.0)).ceil() as u64 + 1
 }
 
 impl Geometry {
@@ -122,9 +137,11 @@ impl Geometry {
             .map(|zn| {
                 let bytes_per_rev = u64::from(zn.sectors_per_track) * SECTOR_BYTES;
                 let bps = bytes_per_rev as f64 / revolution.as_secs_f64();
+                let sector_secs = SECTOR_BYTES as f64 / bps;
                 ZoneRate {
                     bps,
-                    sector_secs: SECTOR_BYTES as f64 / bps,
+                    sector_secs,
+                    sector_ns_hi: certified_ns_per_sector(sector_secs),
                 }
             })
             .collect();
@@ -200,10 +217,11 @@ impl Geometry {
     }
 
     /// The zone window containing `lba`: `(first_lba, first_lba + sectors,
-    /// bytes/s, seconds/sector)`. Callers that track a sequential stream
-    /// memoize this and revalidate with two compares instead of repeating
-    /// the binary search per request (caller guarantees range).
-    pub(crate) fn zone_window(&self, lba: u64) -> (u64, u64, f64, f64) {
+    /// bytes/s, seconds/sector, certified ns/sector)`. Callers that track
+    /// a sequential stream memoize this and revalidate with two compares
+    /// instead of repeating the binary search per request (caller
+    /// guarantees range).
+    pub(crate) fn zone_window(&self, lba: u64) -> (u64, u64, f64, f64, u64) {
         let zi = self.zone_index(lba);
         let zn = &self.zones[zi];
         let zr = &self.zone_rates[zi];
@@ -212,12 +230,19 @@ impl Geometry {
             zn.first_lba + zn.sectors,
             zr.bps,
             zr.sector_secs,
+            zr.sector_ns_hi,
         )
     }
 
     /// Time to read/write `sectors` sectors starting at `lba`, including
     /// head and cylinder switches crossed mid-transfer (the components of
     /// sustained — as opposed to instantaneous — media rate).
+    ///
+    /// Closed form per zone: `n` sectors cost `sector_time × n`, and an
+    /// extent starting at track `t0` crosses `k` track boundaries, of
+    /// which `(t0 + k) / heads − t0 / heads` wrap to the next cylinder.
+    /// Zones end on cylinder boundaries, so stepping into the next zone
+    /// is one more cylinder switch. The zone search runs once per call.
     ///
     /// # Panics
     ///
@@ -236,28 +261,27 @@ impl Geometry {
             lba + sectors,
             self.total_sectors
         );
+        let heads = u64::from(self.heads);
         let mut remaining = sectors;
         let mut at = lba;
         let mut total = Duration::ZERO;
+        let mut zi = if sectors > 0 { self.zone_index(lba) } else { 0 };
         while remaining > 0 {
-            let loc = self.locate(at).expect("in range by the assert above");
-            let zone = &self.zones[loc.zone as usize];
+            let zone = &self.zones[zi];
             let spt = u64::from(zone.sectors_per_track);
-            let sector_time = zone.sector_time;
-            let left_on_track = spt - u64::from(loc.sector);
-            let chunk = remaining.min(left_on_track);
-            total += sector_time * chunk;
-            remaining -= chunk;
-            at += chunk;
+            let off = at - zone.first_lba;
+            let n = remaining.min(zone.sectors - off);
+            let t0 = off / spt;
+            let k = (off + n - 1) / spt - t0;
+            let cylinder_wraps = (t0 + k) / heads - t0 / heads;
+            total += zone.sector_time * n
+                + head_switch * (k - cylinder_wraps)
+                + cylinder_switch * cylinder_wraps;
+            remaining -= n;
+            at += n;
             if remaining > 0 {
-                // Crossing to the next track: head switch, or cylinder
-                // switch when wrapping to the next cylinder.
-                let next = self.locate(at).expect("in range");
-                total += if next.cylinder != loc.cylinder {
-                    cylinder_switch
-                } else {
-                    head_switch
-                };
+                total += cylinder_switch;
+                zi += 1;
             }
         }
         total
@@ -281,6 +305,86 @@ mod tests {
 
     fn geo() -> Geometry {
         Geometry::from_spec(&DiskSpec::cheetah_9lp())
+    }
+
+    /// The per-track reference for [`Geometry::media_transfer`]: walks
+    /// the extent one track at a time, locating both ends of every
+    /// crossing.
+    fn media_transfer_by_track(
+        g: &Geometry,
+        lba: u64,
+        sectors: u64,
+        head_switch: Duration,
+        cylinder_switch: Duration,
+    ) -> Duration {
+        let mut remaining = sectors;
+        let mut at = lba;
+        let mut total = Duration::ZERO;
+        while remaining > 0 {
+            let loc = g.locate(at).expect("in range");
+            let zone = &g.zones[loc.zone as usize];
+            let left_on_track = u64::from(zone.sectors_per_track) - u64::from(loc.sector);
+            let chunk = remaining.min(left_on_track);
+            total += zone.sector_time * chunk;
+            remaining -= chunk;
+            at += chunk;
+            if remaining > 0 {
+                let next = g.locate(at).expect("in range");
+                total += if next.cylinder != loc.cylinder {
+                    cylinder_switch
+                } else {
+                    head_switch
+                };
+            }
+        }
+        total
+    }
+
+    /// Asserts the closed form equals the per-track walk on `[lba,
+    /// lba + sectors)`, with distinct switch costs so a head switch
+    /// counted as a cylinder switch (or vice versa) shows.
+    fn assert_transfer_matches(g: &Geometry, lba: u64, sectors: u64) {
+        let (hs, cs) = (
+            Duration::from_nanos(800_017),
+            Duration::from_nanos(1_100_003),
+        );
+        assert_eq!(
+            g.media_transfer(lba, sectors, hs, cs),
+            media_transfer_by_track(g, lba, sectors, hs, cs),
+            "extent [{lba}, +{sectors})"
+        );
+    }
+
+    #[test]
+    fn media_transfer_matches_track_walk_at_every_zone_boundary() {
+        let g = geo();
+        let heads = u64::from(g.heads());
+        for zn in g.zones() {
+            let spt = u64::from(zn.sectors_per_track);
+            let cyl = spt * heads;
+            // Starts just before, at and after the zone start, track ends
+            // and the first cylinder wrap; lengths within a track, across
+            // a cylinder, and across the zone boundary.
+            for start in [
+                zn.first_lba.saturating_sub(1),
+                zn.first_lba,
+                zn.first_lba + spt - 1,
+                zn.first_lba + cyl - 1,
+                zn.first_lba + zn.sectors - 1,
+                zn.first_lba + zn.sectors.saturating_sub(spt),
+            ] {
+                for n in [1, 2, spt - 1, spt, spt + 1, cyl, cyl + 1, 512, 3 * cyl + 7] {
+                    if start + n <= g.total_sectors() {
+                        assert_transfer_matches(&g, start, n);
+                    }
+                }
+            }
+        }
+        // The last sectors of the disk, and an empty transfer.
+        let end = g.total_sectors();
+        assert_transfer_matches(&g, end - 1, 1);
+        assert_transfer_matches(&g, end - 5_000, 5_000);
+        assert_transfer_matches(&g, end, 0);
     }
 
     #[test]
@@ -423,6 +527,38 @@ mod tests {
             prop_assert!(loc.sector < zone.sectors_per_track);
             prop_assert!(loc.cylinder >= zone.first_cylinder);
             prop_assert!(loc.cylinder < zone.first_cylinder + zone.cylinders);
+        }
+
+        /// The closed form equals the per-track walk on random extents
+        /// anywhere on the disk, including multi-zone ones.
+        #[test]
+        fn prop_media_transfer_matches_track_walk(start in 0u64..17_000_000, n in 1u64..200_000) {
+            let g = geo();
+            prop_assume!(start + n <= g.total_sectors());
+            assert_transfer_matches(&g, start, n);
+        }
+
+        /// Extents anchored on a zone boundary, a track end or a cylinder
+        /// wrap (offset by a few sectors either way) match the walk.
+        #[test]
+        fn prop_media_transfer_matches_at_edges(
+            zone in 0usize..64,
+            kind in 0u64..3,
+            track in 0u64..2_000,
+            skew in 0u64..8,
+            n in 1u64..40_000,
+        ) {
+            let g = geo();
+            let zn = &g.zones()[zone % g.zones().len()];
+            let spt = u64::from(zn.sectors_per_track);
+            let edge = match kind {
+                0 => zn.first_lba + zn.sectors,
+                1 => zn.first_lba + (track + 1) * spt,
+                _ => zn.first_lba + (track + 1) * spt * u64::from(g.heads()),
+            };
+            let start = (edge + skew).saturating_sub(4);
+            prop_assume!(start + n <= g.total_sectors());
+            assert_transfer_matches(&g, start, n);
         }
 
         /// Transfer time is additive: t(a..a+n) + t(a+n..a+n+m) differs from

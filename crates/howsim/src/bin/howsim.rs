@@ -578,7 +578,7 @@ fn run_loaded(opts: &Options, sim: &Simulation, fault_plan: &FaultPlan) -> ExitC
     print_load_report(&report);
     if let Some(path) = &opts.trace_events {
         let trace = span_trace.as_ref().expect("profiled run");
-        if let Err(e) = std::fs::write(path, trace.chrome_trace_json()) {
+        if let Err(e) = write_export(path, |f| trace.write_chrome_trace(f)) {
             eprintln!("failed to write trace events {path}: {e}");
             return ExitCode::FAILURE;
         }
@@ -607,6 +607,15 @@ fn run_loaded(opts: &Options, sim: &Simulation, fault_plan: &FaultPlan) -> ExitC
         eprintln!("wrote load manifest to {path}");
     }
     ExitCode::SUCCESS
+}
+
+/// Creates `path` and streams an export into it, so a large trace is
+/// never held in memory as one string.
+fn write_export(
+    path: &str,
+    export: impl FnOnce(std::fs::File) -> std::io::Result<()>,
+) -> std::io::Result<()> {
+    export(std::fs::File::create(path)?)
 }
 
 fn main() -> ExitCode {
@@ -771,7 +780,7 @@ fn main() -> ExitCode {
 
     if let Some(path) = &opts.trace_events {
         let spans = span_trace.as_ref().expect("profiled run");
-        if let Err(e) = std::fs::write(path, spans.chrome_trace_json()) {
+        if let Err(e) = write_export(path, |f| spans.write_chrome_trace(f)) {
             eprintln!("failed to write trace events {path}: {e}");
             return ExitCode::FAILURE;
         }
@@ -802,14 +811,14 @@ fn main() -> ExitCode {
     }
     if let Some(t) = &trace {
         if let Some(path) = &opts.trace_path {
-            if let Err(e) = std::fs::write(path, t.to_csv()) {
+            if let Err(e) = write_export(path, |f| t.write_csv(f)) {
                 eprintln!("failed to write trace {path}: {e}");
                 return ExitCode::FAILURE;
             }
             eprintln!("wrote trace to {path}: {}", t.summary());
         }
         if let Some(path) = &opts.trace_out {
-            if let Err(e) = std::fs::write(path, t.to_jsonl()) {
+            if let Err(e) = write_export(path, |f| t.write_jsonl(f)) {
                 eprintln!("failed to write trace {path}: {e}");
                 return ExitCode::FAILURE;
             }

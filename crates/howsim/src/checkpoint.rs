@@ -177,4 +177,84 @@ mod tests {
         assert!(read_file(&path, &other, &plan).is_none());
         let _ = fs::remove_dir_all(&dir);
     }
+
+    /// Rewrites the body of the checkpoint at `path` with `edit` and
+    /// re-seals it under its own key, so only the edit can make it miss.
+    fn reseal(path: &std::path::Path, edit: impl Fn(&str) -> String) {
+        let text = fs::read_to_string(path).unwrap();
+        let mut parts = text.splitn(4, '\n');
+        let (_schema, _sum) = (parts.next().unwrap(), parts.next().unwrap());
+        let key = parts.next().unwrap().strip_prefix("key ").unwrap();
+        let body = edit(parts.next().unwrap());
+        crate::codec::write_sealed(path, SCHEMA, key, &body).unwrap();
+    }
+
+    /// Replaces token `ix` of the first line starting with `prefix` and
+    /// carrying a per-node work event.
+    fn set_token(body: &str, prefix: &str, ix: usize, value: &str) -> String {
+        let mut done = false;
+        let lines: Vec<String> = body
+            .lines()
+            .map(|line| {
+                let mut t: Vec<&str> = line.split(' ').collect();
+                if !done && t[0] == prefix && matches!(t[2], "br" | "bp" | "rp") {
+                    done = true;
+                    t[ix] = value;
+                }
+                t.join(" ")
+            })
+            .collect();
+        assert!(done, "no `{prefix}` work event to edit");
+        lines.join("\n") + "\n"
+    }
+
+    #[test]
+    fn restored_ids_out_of_range_are_clean_misses() {
+        // A 4-node cluster join paused mid-flight; each edit below keeps
+        // the file well-formed and correctly sealed. Out-of-range ids
+        // must miss at load, not panic at resume or wrap to a valid id.
+        let arch = Architecture::cluster(4);
+        let plan = plan_task(TaskKind::Join, &arch);
+        let sim = Simulation::new(arch);
+        let at = mid_run_pause(&sim, &plan);
+        let mut run = sim.start(&plan);
+        run.run_until(at);
+        let dir = tmp_dir("ids");
+        let path = dir.join("pause.ckpt");
+        let edits: [(&str, &str, usize, &str); 6] = [
+            ("in-range edit", "qe", 4, "0"),
+            ("queued node 99", "qe", 3, "99"),
+            ("queued node 2^32", "qe", 3, "4294967296"),
+            ("queued query 2^32", "qe", 5, "4294967296"),
+            ("queued query 1 of a solo run", "qe", 5, "1"),
+            ("queued event behind the clock", "qe", 1, "0"),
+        ];
+        for (label, prefix, ix, value) in edits {
+            write_file(&path, &sim, &plan, at, &run).unwrap();
+            reseal(&path, |body| set_token(body, prefix, ix, value));
+            let restored = read_file(&path, &sim, &plan);
+            assert_eq!(restored.is_some(), label == "in-range edit", "{label}");
+        }
+        // The stashed boundary event is checked too.
+        write_file(&path, &sim, &plan, at, &run).unwrap();
+        reseal(&path, |body| set_token(body, "pending_ev", 3, "99"));
+        assert!(read_file(&path, &sim, &plan).is_none(), "pending node 99");
+        // Queued work must match the query's in-flight count and state:
+        // `on_work` decrements the count and dispatches on the state.
+        for (label, ix, value) in [("in-flight count 0", 15, "0"), ("state Pending", 7, "0")] {
+            write_file(&path, &sim, &plan, at, &run).unwrap();
+            reseal(&path, |body| {
+                let edit = |line: &str| {
+                    let mut t: Vec<&str> = line.split(' ').collect();
+                    if t[0] == "query" {
+                        t[ix] = value;
+                    }
+                    t.join(" ")
+                };
+                body.lines().map(edit).collect::<Vec<_>>().join("\n") + "\n"
+            });
+            assert!(read_file(&path, &sim, &plan).is_none(), "{label}");
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
 }

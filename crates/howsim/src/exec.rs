@@ -57,29 +57,29 @@ pub struct Simulation {
 pub(crate) enum Ev {
     /// A batch finished reading from disk at a node.
     BatchRead {
-        node: usize,
+        node: u32,
         bytes: u64,
         span: SpanId,
         query: u32,
     },
     /// A node's CPU finished processing a scanned batch.
     BatchProcessed {
-        node: usize,
+        node: u32,
         bytes: u64,
         span: SpanId,
         query: u32,
     },
     /// A repartitioned batch arrived at a peer.
     PeerArrive {
-        src: usize,
-        dst: usize,
+        src: u32,
+        dst: u32,
         bytes: u64,
         span: SpanId,
         query: u32,
     },
     /// A peer finished its receive-side CPU work on a batch.
     RecvProcessed {
-        node: usize,
+        node: u32,
         bytes: u64,
         span: SpanId,
         query: u32,
@@ -92,7 +92,7 @@ pub(crate) enum Ev {
     },
     /// The failure of `node` is detected (its request timeouts expired):
     /// recovery of its remaining partition begins for `query`.
-    RecoveryKick { node: usize, query: u32 },
+    RecoveryKick { node: u32, query: u32 },
     /// Control events of the driver (never seen by [`handle_ev`]): a
     /// query arrives at the admission controller.
     Admit { query: u32 },
@@ -107,7 +107,31 @@ pub(crate) enum Ev {
     Retry { query: u32 },
 }
 
+// Every event is moved through the queue's slab and the driver's
+// dispatch: keep it within half a cache line.
+const _: () = assert!(std::mem::size_of::<Ev>() <= 32);
+
 impl Ev {
+    /// True if every node id the event carries is below `nodes` and its
+    /// query id is below `queries` (a restored checkpoint's check).
+    pub(crate) fn ids_within(&self, nodes: usize, queries: usize) -> bool {
+        let (a, b, query) = match *self {
+            Ev::BatchRead { node, query, .. }
+            | Ev::BatchProcessed { node, query, .. }
+            | Ev::RecvProcessed { node, query, .. }
+            | Ev::RecoveryKick { node, query } => (node, node, query),
+            Ev::PeerArrive {
+                src, dst, query, ..
+            } => (src, dst, query),
+            Ev::FeArrive { query, .. }
+            | Ev::Admit { query }
+            | Ev::PhaseStart { query, .. }
+            | Ev::Deadline { query, .. }
+            | Ev::Retry { query } => (0, 0, query),
+        };
+        (a.max(b) as usize) < nodes && (query as usize) < queries
+    }
+
     /// The query a *work* event belongs to (None for control events —
     /// they carry no machine work and are not counted as outstanding).
     #[inline]
@@ -1026,52 +1050,54 @@ pub(crate) fn parse_timed_ev(s: &str) -> Result<(SimTime, Ev), StateError> {
         .map(|t| t.parse::<u64>().map_err(|_| bad()))
         .collect::<Result<Vec<_>, _>>()?;
     let span = SpanId::NONE;
-    let (n, q) = (|x: u64| x as usize, |x: u64| x as u32);
+    // Out-of-range values are malformed input, never truncated; node
+    // and query ids are checked against the machine by the caller.
+    let id = |x: u64| u32::try_from(x).map_err(|_| bad());
     let ev = match (tag, &v[..]) {
         ("br", &[node, bytes, query]) => Ev::BatchRead {
-            node: n(node),
+            node: id(node)?,
             bytes,
             span,
-            query: q(query),
+            query: id(query)?,
         },
         ("bp", &[node, bytes, query]) => Ev::BatchProcessed {
-            node: n(node),
+            node: id(node)?,
             bytes,
             span,
-            query: q(query),
+            query: id(query)?,
         },
         ("pa", &[src, dst, bytes, query]) => Ev::PeerArrive {
-            src: n(src),
-            dst: n(dst),
+            src: id(src)?,
+            dst: id(dst)?,
             bytes,
             span,
-            query: q(query),
+            query: id(query)?,
         },
         ("rp", &[node, bytes, query]) => Ev::RecvProcessed {
-            node: n(node),
+            node: id(node)?,
             bytes,
             span,
-            query: q(query),
+            query: id(query)?,
         },
         ("fe", &[bytes, query]) => Ev::FeArrive {
             bytes,
             span,
-            query: q(query),
+            query: id(query)?,
         },
         ("rk", &[node, query]) => Ev::RecoveryKick {
-            node: n(node),
-            query: q(query),
+            node: id(node)?,
+            query: id(query)?,
         },
-        ("ad", &[query]) => Ev::Admit { query: q(query) },
+        ("ad", &[query]) => Ev::Admit { query: id(query)? },
         ("ps", &[query, attempt]) => Ev::PhaseStart {
-            query: q(query),
-            attempt: q(attempt),
+            query: id(query)?,
+            attempt: id(attempt)?,
         },
         ("dl", &[query, attempt]) => Ev::Deadline {
-            query: q(query),
-            attempt: q(attempt),
+            query: id(query)?,
+            attempt: id(attempt)?,
         },
-        ("rt", &[query]) => Ev::Retry { query: q(query) },
+        ("rt", &[query]) => Ev::Retry { query: id(query)? },
         _ => return Err(bad()),
     };
     Ok((SimTime::from_nanos(ns), ev))
@@ -1176,6 +1202,7 @@ pub(crate) fn handle_ev(
             span: ev_span,
             ..
         } => {
+            let node = node as usize;
             if fr.any_dead && ctx.nodes[node].dead {
                 // The batch died with its node.
                 lose_batch(m, q, ctx, fr, node, bytes, now, spans);
@@ -1212,7 +1239,7 @@ pub(crate) fn handle_ev(
             q.push(
                 done.max(now),
                 Ev::BatchProcessed {
-                    node,
+                    node: node as u32,
                     bytes,
                     span: cpu_span,
                     query: ctx.qid,
@@ -1225,6 +1252,7 @@ pub(crate) fn handle_ev(
             span: ev_span,
             ..
         } => {
+            let node = node as usize;
             if fr.any_dead && ctx.nodes[node].dead {
                 // Processed output lost with the node: a survivor
                 // must re-read the underlying batch.
@@ -1285,6 +1313,7 @@ pub(crate) fn handle_ev(
             span: ev_span,
             ..
         } => {
+            let (src, dst) = (src as usize, dst as usize);
             if fr.any_dead && ctx.nodes[dst].dead {
                 // Receiver gone: the sender times out and re-sends to
                 // the next survivor (unless it has since died too).
@@ -1306,8 +1335,8 @@ pub(crate) fn handle_ev(
                         q.push(
                             arrival.max(now),
                             Ev::PeerArrive {
-                                src,
-                                dst: dst2,
+                                src: src as u32,
+                                dst: dst2 as u32,
                                 bytes,
                                 span: retry_span,
                                 query: ctx.qid,
@@ -1349,7 +1378,7 @@ pub(crate) fn handle_ev(
             q.push(
                 done.max(now),
                 Ev::RecvProcessed {
-                    node: dst,
+                    node: dst as u32,
                     bytes,
                     span: recv_span,
                     query: ctx.qid,
@@ -1362,6 +1391,7 @@ pub(crate) fn handle_ev(
             span: ev_span,
             ..
         } => {
+            let node = node as usize;
             if fr.any_dead && ctx.nodes[node].dead {
                 return;
             }
@@ -1432,7 +1462,7 @@ pub(crate) fn handle_ev(
         Ev::RecoveryKick { node, .. } => {
             // Request timeouts on the failed node expired: its loss
             // is now globally known and its partition is reassigned.
-            fr.detected[node] = true;
+            fr.detected[node as usize] = true;
             reassign(m, q, ctx, fr, now, spans);
         }
         Ev::Admit { .. } | Ev::PhaseStart { .. } | Ev::Deadline { .. } | Ev::Retry { .. } => {
@@ -1542,7 +1572,7 @@ pub(crate) fn issue_read(
     q.push(
         ready.max(now),
         Ev::BatchRead {
-            node,
+            node: node as u32,
             bytes,
             span: read_span,
             query: ctx.qid,
@@ -1663,8 +1693,8 @@ fn send_peer(
     q.push(
         arrival.max(now),
         Ev::PeerArrive {
-            src,
-            dst,
+            src: src as u32,
+            dst: dst as u32,
             bytes,
             span: wire_span,
             query: ctx.qid,

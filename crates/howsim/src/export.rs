@@ -5,6 +5,10 @@
 //! skip `fmt` entirely: every line is static pieces plus decimal
 //! integers appended to one pre-sized buffer. Everything appended is a
 //! `&str` or ASCII digits, so the buffer is valid UTF-8 by construction.
+//! The same writers stream to any `io::Write` in 64 KiB chunks (the
+//! CLI's export files), so a file export never holds the whole text.
+
+use std::io::{self, Write};
 
 /// `"00" "01" … "99"`: two decimal digits per table entry.
 const DIGIT_PAIRS: [u8; 200] = {
@@ -18,19 +22,98 @@ const DIGIT_PAIRS: [u8; 200] = {
     t
 };
 
-/// An append-only export buffer.
-pub(crate) struct ExportBuf(Vec<u8>);
+/// Where an [`ExportBuf`] sends its bytes at each line end: nowhere
+/// (`()`: the whole export stays in the buffer, for the `String`
+/// exporters) or out to a writer in chunks ([`Chunked`]).
+pub(crate) trait Sink {
+    /// Called after every complete line with the bytes buffered so far.
+    fn spill(&mut self, bytes: &mut Vec<u8>) -> io::Result<()>;
+}
+
+impl Sink for () {
+    #[inline(always)]
+    fn spill(&mut self, _: &mut Vec<u8>) -> io::Result<()> {
+        Ok(())
+    }
+}
+
+/// Bytes a streaming export buffers before writing them out.
+const CHUNK_BYTES: usize = 64 * 1024;
+
+/// A [`Sink`] that writes each full chunk to `W` and reuses the buffer,
+/// so a streamed export holds at most one chunk plus one line.
+pub(crate) struct Chunked<W>(W);
+
+impl<W: Write> Sink for Chunked<W> {
+    #[inline]
+    fn spill(&mut self, bytes: &mut Vec<u8>) -> io::Result<()> {
+        if bytes.len() >= CHUNK_BYTES {
+            self.0.write_all(bytes)?;
+            bytes.clear();
+        }
+        Ok(())
+    }
+}
+
+/// An append-only export buffer over a [`Sink`].
+pub(crate) struct ExportBuf<S = ()> {
+    bytes: Vec<u8>,
+    sink: S,
+}
 
 impl ExportBuf {
-    /// An empty buffer with room for `bytes` bytes.
+    /// An empty in-memory buffer with room for `bytes` bytes.
     pub(crate) fn with_capacity(bytes: usize) -> Self {
-        ExportBuf(Vec::with_capacity(bytes))
+        ExportBuf {
+            bytes: Vec::with_capacity(bytes),
+            sink: (),
+        }
     }
 
+    /// The finished export.
+    pub(crate) fn into_string(self) -> String {
+        String::from_utf8(self.bytes).expect("exporters append UTF-8 pieces only")
+    }
+
+    /// Runs an in-memory export (which cannot fail) into a `String`.
+    pub(crate) fn collect(
+        capacity: usize,
+        export: impl FnOnce(&mut ExportBuf) -> io::Result<()>,
+    ) -> String {
+        let mut out = ExportBuf::with_capacity(capacity);
+        export(&mut out).expect("an in-memory export cannot fail");
+        out.into_string()
+    }
+}
+
+impl<W: Write> ExportBuf<Chunked<W>> {
+    /// Streams `export` to `w` in chunks of [`CHUNK_BYTES`], then
+    /// flushes `w`.
+    pub(crate) fn stream(w: W, export: impl FnOnce(&mut Self) -> io::Result<()>) -> io::Result<()> {
+        let mut out = ExportBuf {
+            bytes: Vec::with_capacity(CHUNK_BYTES + 4096),
+            sink: Chunked(w),
+        };
+        export(&mut out)?;
+        let Chunked(mut w) = out.sink;
+        w.write_all(&out.bytes)?;
+        w.flush()
+    }
+}
+
+impl<S: Sink> ExportBuf<S> {
     /// Appends `s` verbatim.
     #[inline]
     pub(crate) fn str(&mut self, s: &str) {
-        self.0.extend_from_slice(s.as_bytes());
+        self.bytes.extend_from_slice(s.as_bytes());
+    }
+
+    /// Appends `s` verbatim and ends a line: a streaming buffer may
+    /// write out what it holds.
+    #[inline]
+    pub(crate) fn line_end(&mut self, s: &str) -> io::Result<()> {
+        self.str(s);
+        self.sink.spill(&mut self.bytes)
     }
 
     /// Appends `v` in decimal.
@@ -52,7 +135,7 @@ impl ExportBuf {
             i -= 1;
             digits[i] = b'0' + v as u8;
         }
-        self.0.extend_from_slice(&digits[i..]);
+        self.bytes.extend_from_slice(&digits[i..]);
     }
 
     /// Appends a nanosecond clock as microseconds with three decimals
@@ -62,17 +145,12 @@ impl ExportBuf {
         self.u64(ns / 1_000);
         let frac = (ns % 1_000) as usize;
         let pair = frac % 100 * 2;
-        self.0.extend_from_slice(&[
+        self.bytes.extend_from_slice(&[
             b'.',
             b'0' + (frac / 100) as u8,
             DIGIT_PAIRS[pair],
             DIGIT_PAIRS[pair + 1],
         ]);
-    }
-
-    /// The finished export.
-    pub(crate) fn into_string(self) -> String {
-        String::from_utf8(self.0).expect("exporters append UTF-8 pieces only")
     }
 }
 

@@ -584,53 +584,15 @@ impl<'p> Mq<'p> {
         if self.halted {
             return;
         }
-        loop {
-            let (fresh, (now, ev)) = match self.pending.take() {
-                Some(next) => (false, next),
-                None => match self.q.pop() {
-                    Some(next) => (true, next),
-                    None => break,
-                },
-            };
-            let work = ev.work_query();
-            self.work_popped += u64::from(fresh && work.is_some());
-            if limit.is_some_and(|l| now >= l) {
-                self.pending = Some((now, ev));
+        // A stashed boundary event was counted when it was popped.
+        if let Some((now, ev)) = self.pending.take() {
+            if self.dispatch(now, ev, false, limit, trace, metrics) {
                 return;
             }
-            self.clock = now;
-            // Under the barrier rule, faults due at a control event are
-            // the next phase start's business.
-            if work.is_some() || self.detection == Detection::Clock {
-                if self.fs.pending() {
-                    self.apply_faults(now, false);
-                }
-                if let Some(abort) = self.fs.abort_at {
-                    if now >= abort {
-                        self.abort_all(abort);
-                        return;
-                    }
-                }
-            }
-            match (work, ev) {
-                (Some(qid), ev) => {
-                    // Metrics-off cost: one `Option` check per work event.
-                    if let Some(mb) = metrics.as_deref_mut() {
-                        if mb.due(now) {
-                            mb.sample(now, &self.machine.resource_usage(), self.q.len());
-                        }
-                    }
-                    self.on_work(now, qid as usize, ev, trace);
-                }
-                (None, Ev::Admit { query }) => self.on_admit(query as usize, now),
-                (None, Ev::PhaseStart { query, attempt }) => {
-                    self.on_phase_start(query as usize, attempt, now)
-                }
-                (None, Ev::Deadline { query, attempt }) => {
-                    self.on_deadline(query as usize, attempt, now)
-                }
-                (None, Ev::Retry { query }) => self.on_retry(query as usize, now),
-                (None, _) => unreachable!("work events carry a query"),
+        }
+        while let Some((now, ev)) = self.q.pop() {
+            if self.dispatch(now, ev, true, limit, trace, metrics) {
+                return;
             }
         }
         // Fail-stop abort clock beyond the last event: the queue drained
@@ -642,6 +604,63 @@ impl<'p> Mq<'p> {
             self.runs.iter().all(|r| r.state == QState::Done),
             "event queue drained with live queries"
         );
+    }
+
+    /// Handles one event popped at `now` (`fresh` unless it is the
+    /// stashed boundary event). Returns true when the run must stop here:
+    /// the event lies at or past `limit` (it is stashed in `pending`), or
+    /// a fail-stop abort ended every query.
+    #[inline(always)]
+    fn dispatch(
+        &mut self,
+        now: SimTime,
+        ev: Ev,
+        fresh: bool,
+        limit: Option<SimTime>,
+        trace: &mut Option<&mut Trace>,
+        metrics: &mut Option<&mut MetricsBuilder>,
+    ) -> bool {
+        let work = ev.work_query();
+        self.work_popped += u64::from(fresh && work.is_some());
+        if limit.is_some_and(|l| now >= l) {
+            self.pending = Some((now, ev));
+            return true;
+        }
+        self.clock = now;
+        // Under the barrier rule, faults due at a control event are
+        // the next phase start's business.
+        if work.is_some() || self.detection == Detection::Clock {
+            if self.fs.pending() {
+                self.apply_faults(now, false);
+            }
+            if let Some(abort) = self.fs.abort_at {
+                if now >= abort {
+                    self.abort_all(abort);
+                    return true;
+                }
+            }
+        }
+        match (work, ev) {
+            (Some(qid), ev) => {
+                // Metrics-off cost: one `Option` check per work event.
+                if let Some(mb) = metrics.as_deref_mut() {
+                    if mb.due(now) {
+                        mb.sample(now, &self.machine.resource_usage(), self.q.len());
+                    }
+                }
+                self.on_work(now, qid as usize, ev, trace);
+            }
+            (None, Ev::Admit { query }) => self.on_admit(query as usize, now),
+            (None, Ev::PhaseStart { query, attempt }) => {
+                self.on_phase_start(query as usize, attempt, now)
+            }
+            (None, Ev::Deadline { query, attempt }) => {
+                self.on_deadline(query as usize, attempt, now)
+            }
+            (None, Ev::Retry { query }) => self.on_retry(query as usize, now),
+            (None, _) => unreachable!("work events carry a query"),
+        }
+        false
     }
 
     /// Applies globally-scheduled faults due at or before `now` to the
@@ -697,7 +716,7 @@ impl<'p> Mq<'p> {
                     self.q.push(
                         detect.max(now),
                         Ev::RecoveryKick {
-                            node,
+                            node: node as u32,
                             query: qid as u32,
                         },
                     );
@@ -887,7 +906,7 @@ impl Mq<'_> {
                         evq.push(
                             t.max(at),
                             Ev::RecoveryKick {
-                                node: i,
+                                node: i as u32,
                                 query: qid as u32,
                             },
                         );
@@ -1265,9 +1284,29 @@ impl Mq<'_> {
         let popped: u64 = r.num("q_popped")?;
         let last_popped = SimTime::from_nanos(r.num("q_last_ns")?);
         let qlen: usize = r.num("q_len")?;
-        let events = (0..qlen)
+        let events: Vec<(SimTime, Ev)> = (0..qlen)
             .map(|_| parse_timed_ev(r.field("qe")?))
             .collect::<Result<_, _>>()?;
+        // Every restored event must lie at or after the clock and name a
+        // node of this machine and a query of this run: dispatch indexes
+        // with both.
+        let (nodes, queries) = (self.machine.nodes(), self.runs.len());
+        let in_range =
+            |&(t, ref ev): &(SimTime, Ev)| t >= last_popped && ev.ids_within(nodes, queries);
+        if !self.pending.iter().chain(&events).all(in_range) {
+            return Err(bad(
+                "event behind the clock or naming a node or query out of range",
+            ));
+        }
+        let mut inflight = vec![0u64; queries];
+        for qid in self
+            .pending
+            .iter()
+            .chain(&events)
+            .filter_map(|(_, ev)| ev.work_query())
+        {
+            inflight[qid as usize] += 1;
+        }
         self.q = EventQueue::with_backend_capacity(self.q.backend(), self.q.capacity());
         self.q.load_snapshot(QueueSnapshot {
             events,
@@ -1293,7 +1332,7 @@ impl Mq<'_> {
         if r.num::<usize>("queries")? != self.runs.len() {
             return Err(bad("query count mismatch"));
         }
-        for qid in 0..self.runs.len() {
+        for (qid, &in_flight) in inflight.iter().enumerate() {
             let v: [u64; 15] = r.array("query")?;
             let status = QueryStatus::parse(r.field("status")?).ok_or_else(|| bad("bad status"))?;
             if let Some(fr) = self.views.get_mut(qid) {
@@ -1342,6 +1381,16 @@ impl Mq<'_> {
             run.costs = (nodes_n != 0 && phase_ix < plan.phases.len())
                 .then(|| PhaseCosts::new(&self.machine, &plan.phases[phase_ix]));
             run.nodes = nodes;
+            // `on_work` counts each work event off `outstanding` and
+            // dispatches a running query's against its open phase.
+            let live = match run.state {
+                QState::Running => run.costs.is_some(),
+                QState::AwaitRetry | QState::Done => true,
+                QState::Pending | QState::Waiting => false,
+            };
+            if in_flight != v[14] || (in_flight > 0 && !live) {
+                return Err(bad("in-flight work does not match the query state"));
+            }
         }
         Ok(())
     }
@@ -1754,6 +1803,31 @@ impl<'p> ExecRun<'p> {
 mod tests {
     use super::*;
     use arch::Architecture;
+
+    #[test]
+    fn far_future_pushes_stay_below_one_percent() {
+        // The two configurations that scheduled the largest share of
+        // their events past the wheel's fine horizon (two in three, and
+        // over a third): those pushes take the first coarse level, and
+        // at most 1% may climb above it.
+        for (arch, task) in [
+            (Architecture::active_disks(16), TaskKind::Sort),
+            (Architecture::smp(64), TaskKind::Join),
+        ] {
+            let plan = tasks::plan_task(task, &arch);
+            let sim = Simulation::new(arch);
+            let mut mq = Mq::solo(&sim, &plan, false);
+            mq.step(None, &mut None, &mut None);
+            assert!(mq.q.is_empty());
+            let (pushes, over) = (mq.q.popped(), mq.q.overflow_pushes());
+            assert!(pushes > 10_000, "{task:?}: {pushes} pushes");
+            assert!(
+                over * 100 <= pushes,
+                "{task:?} on {:?}: {over} of {pushes} pushes overflowed",
+                sim.architecture()
+            );
+        }
+    }
 
     fn one_query(task: TaskKind) -> WorkloadSpec {
         WorkloadSpec::closed(1, 1).with_mix(vec![(task, 1)])

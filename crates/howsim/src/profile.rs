@@ -12,12 +12,13 @@
 //! `"unattributed"` resource rather than silently dropped.
 
 use std::collections::BTreeMap;
+use std::io;
 
 use simcore::span::{Span, SpanArena, SpanId, FRONT_END_NODE};
 use simcore::{Duration, SimTime};
 use tasks::TaskKind;
 
-use crate::export::ExportBuf;
+use crate::export::{ExportBuf, Sink};
 
 /// Synthetic critical-path resource for intervals no span covers (e.g. a
 /// node idling for a straggler inside a phase when spans were dropped).
@@ -121,6 +122,16 @@ impl SpanTrace {
     pub fn chrome_trace_json(&self) -> String {
         chrome_trace_of(&self.arena)
     }
+
+    /// Streams [`Self::chrome_trace_json`]'s bytes to `w` in chunks,
+    /// without holding the whole document.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first error `w` reports.
+    pub fn write_chrome_trace(&self, w: impl io::Write) -> io::Result<()> {
+        stream_chrome_trace(&self.arena, w)
+    }
 }
 
 /// Walks each phase's longest dependency chain — the shared body of
@@ -161,16 +172,26 @@ fn critical_path_over(arena: &SpanArena, phases: &[PhaseSpans]) -> CriticalPath 
 /// average about 123 bytes, and a line rarely runs much longer.
 const CHROME_EVENT_BYTES: usize = 136;
 
-/// Chrome trace-event serialization shared by [`SpanTrace`] and
-/// [`LoadSpanTrace`]: each span's `pid` is its query lane, so Perfetto
-/// renders concurrent queries as separate processes.
+/// Chrome trace-event JSON of `arena`, in memory.
 fn chrome_trace_of(arena: &SpanArena) -> String {
+    let keys = chrome_keys(arena);
+    let capacity = keys.len() * CHROME_EVENT_BYTES + 64;
+    ExportBuf::collect(capacity, |out| chrome_trace_into(arena, &keys, out))
+}
+
+/// Chrome trace-event JSON of `arena`, streamed to `w` in chunks.
+fn stream_chrome_trace(arena: &SpanArena, w: impl io::Write) -> io::Result<()> {
+    let keys = chrome_keys(arena);
+    ExportBuf::stream(w, |out| chrome_trace_into(arena, &keys, out))
+}
+
+/// One packed sort key per B/E event, sorted: the clock in the high 64
+/// bits, then an is-begin bit (E sorts before B at the same instant),
+/// then the span index for a B (earlier spans open first) or
+/// `u32::MAX - index` for an E (later spans close first, so stacks
+/// nest). Keys are unique, so the unstable sort is deterministic.
+fn chrome_keys(arena: &SpanArena) -> Vec<u128> {
     let spans = arena.spans();
-    // One packed sort key per B/E event: the clock in the high 64 bits,
-    // then an is-begin bit (E sorts before B at the same instant), then
-    // the span index for a B (earlier spans open first) or
-    // `u32::MAX - index` for an E (later spans close first, so stacks
-    // nest). Keys are unique, so the unstable sort is deterministic.
     let mut keys: Vec<u128> = Vec::with_capacity(spans.len() * 2);
     for (ix, s) in spans.iter().enumerate() {
         let ix = u32::try_from(ix).expect("span index fits u32");
@@ -178,8 +199,20 @@ fn chrome_trace_of(arena: &SpanArena) -> String {
         keys.push(u128::from(s.end.as_nanos()) << 64 | u128::from(u32::MAX - ix));
     }
     keys.sort_unstable();
-    let mut out = ExportBuf::with_capacity(keys.len() * CHROME_EVENT_BYTES + 64);
-    out.str("{\"traceEvents\": [\n");
+    keys
+}
+
+/// Chrome trace-event serialization of `arena` in `keys` order, shared
+/// by [`SpanTrace`] and [`LoadSpanTrace`], in memory or streamed: each
+/// span's `pid` is its query lane, so Perfetto renders concurrent
+/// queries as separate processes.
+fn chrome_trace_into<S: Sink>(
+    arena: &SpanArena,
+    keys: &[u128],
+    out: &mut ExportBuf<S>,
+) -> io::Result<()> {
+    let spans = arena.spans();
+    out.line_end("{\"traceEvents\": [\n")?;
     for (n, &key) in keys.iter().enumerate() {
         let ts = (key >> 64) as u64;
         let is_begin = key >> 32 & 1 == 1;
@@ -217,10 +250,9 @@ fn chrome_trace_of(arena: &SpanArena) -> String {
         } else {
             out.str("}");
         }
-        out.str(if n + 1 < keys.len() { ",\n" } else { "\n" });
+        out.line_end(if n + 1 < keys.len() { ",\n" } else { "\n" })?;
     }
-    out.str("], \"displayTimeUnit\": \"ms\"}\n");
-    out.into_string()
+    out.line_end("], \"displayTimeUnit\": \"ms\"}\n")
 }
 
 /// One query's phase windows within a loaded run's shared span arena.
@@ -266,6 +298,16 @@ impl LoadSpanTrace {
     /// shows each concurrent query as its own process track.
     pub fn chrome_trace_json(&self) -> String {
         chrome_trace_of(&self.arena)
+    }
+
+    /// Streams [`Self::chrome_trace_json`]'s bytes to `w` in chunks,
+    /// without holding the whole document.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first error `w` reports.
+    pub fn write_chrome_trace(&self, w: impl io::Write) -> io::Result<()> {
+        stream_chrome_trace(&self.arena, w)
     }
 }
 

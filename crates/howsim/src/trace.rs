@@ -8,10 +8,11 @@
 //! silent cap) via [`Trace::truncated`] and [`Trace::dropped`].
 
 use std::fmt;
+use std::io;
 
 use simcore::SimTime;
 
-use crate::export::ExportBuf;
+use crate::export::{ExportBuf, Sink};
 
 /// CSV output bytes reserved per event (the 64-disk join's rows average
 /// about 36 bytes).
@@ -238,8 +239,21 @@ impl Trace {
     /// (`time_ns,phase,node,kind,bytes` with a header row; the front-end
     /// appears as node `fe`).
     pub fn to_csv(&self) -> String {
-        let mut out = ExportBuf::with_capacity(32 + CSV_EVENT_BYTES * self.events.len());
-        out.str("time_ns,phase,node,kind,bytes\n");
+        let capacity = 32 + CSV_EVENT_BYTES * self.events.len();
+        ExportBuf::collect(capacity, |out| self.csv_into(out))
+    }
+
+    /// Streams [`Self::to_csv`]'s bytes to `w` in chunks.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first error `w` reports.
+    pub fn write_csv(&self, w: impl io::Write) -> io::Result<()> {
+        ExportBuf::stream(w, |out| self.csv_into(out))
+    }
+
+    fn csv_into<S: Sink>(&self, out: &mut ExportBuf<S>) -> io::Result<()> {
+        out.line_end("time_ns,phase,node,kind,bytes\n")?;
         for e in &self.events {
             out.u64(e.time.as_nanos());
             out.str(",");
@@ -253,17 +267,30 @@ impl Trace {
             out.str(e.kind.name());
             out.str(",");
             out.u64(e.bytes);
-            out.str("\n");
+            out.line_end("\n")?;
         }
-        out.into_string()
+        Ok(())
     }
 
     /// Serializes as JSON Lines: a summary object first, then one object
     /// per retained event. The summary line carries the truncation state,
     /// so consumers of a bounded trace know they got a prefix.
     pub fn to_jsonl(&self) -> String {
+        let capacity = 256 + JSONL_EVENT_BYTES * self.events.len();
+        ExportBuf::collect(capacity, |out| self.jsonl_into(out))
+    }
+
+    /// Streams [`Self::to_jsonl`]'s bytes to `w` in chunks.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first error `w` reports.
+    pub fn write_jsonl(&self, w: impl io::Write) -> io::Result<()> {
+        ExportBuf::stream(w, |out| self.jsonl_into(out))
+    }
+
+    fn jsonl_into<S: Sink>(&self, out: &mut ExportBuf<S>) -> io::Result<()> {
         let s = self.summary();
-        let mut out = ExportBuf::with_capacity(256 + JSONL_EVENT_BYTES * self.events.len());
         out.str("{\"type\":\"summary\",\"total\":");
         out.u64(s.total);
         out.str(",\"retained\":");
@@ -281,7 +308,7 @@ impl Trace {
             out.str("\":");
             out.u64(s.counts[i]);
         }
-        out.str("}}\n");
+        out.line_end("}}\n")?;
         for e in &self.events {
             out.str("{\"type\":\"event\",\"time_ns\":");
             out.u64(e.time.as_nanos());
@@ -296,9 +323,9 @@ impl Trace {
             out.str(e.kind.name());
             out.str("\",\"bytes\":");
             out.u64(e.bytes);
-            out.str("}\n");
+            out.line_end("}\n")?;
         }
-        out.into_string()
+        Ok(())
     }
 }
 

@@ -3,30 +3,34 @@
 //!
 //! # Scheduler structure
 //!
-//! The default backend is a **hierarchical calendar queue** (timing
-//! wheel): a circular array of buckets, each covering a fixed slice of
-//! simulated time, plus a binary-heap *overflow* level for events
-//! scheduled beyond the wheel's horizon. Pushing an event within the
-//! horizon appends to its bucket (O(1)); popping scans a bitmap for the
-//! next occupied bucket and drains it in `(time, seq)` order. Overflow
-//! events migrate into the wheel as the cursor approaches their bucket,
-//! so the far-future heap stays small and the hot path is array traffic
-//! instead of heap rebalancing.
+//! The default backend is a **hierarchical timing wheel**. The *fine*
+//! level is a circular array of buckets, each covering a fixed slice of
+//! simulated time; above it sit *coarse* levels of 64 buckets each, every
+//! coarse bucket covering one whole bucket array of the level below.
+//! Pushing an event appends it to the finest bucket whose window holds it
+//! (O(1)); popping scans a bitmap for the next occupied fine bucket and
+//! drains it in `(time, seq)` order. Before the fine cursor reaches a
+//! coarse bucket's slice, that bucket *cascades*: its chain is walked
+//! once and every event re-placed one or more levels down. The top level
+//! spans all of `u64` time, so there is no overflow structure and no
+//! heap on the hot path: every push and every cascade step is array
+//! traffic.
 //!
 //! ## Arena bucket store
 //!
-//! Buckets do not own `Vec`s of events. Every pending in-horizon event
-//! lives in one reusable slab of slots (`Wheel::slots`), and a bucket is
+//! Buckets do not own `Vec`s of events. Every pending event lives in one
+//! reusable slab of slots (`Wheel::slots`), and a bucket on any level is
 //! just a `(head, tail)` pair of `u32` slot indices forming an intrusive
 //! singly-linked chain through the slab. Pushing links a slot onto its
-//! bucket's tail; popping returns the slot to a freelist threaded through
-//! the same `next` fields. Steady-state push/pop therefore performs
-//! **zero allocation** — the slab and the drain buffer grow to the
-//! queue's high-water depth and are reused forever after.
+//! bucket's tail; a cascade relinks the same slot into a lower bucket;
+//! popping returns the slot to a freelist threaded through the same
+//! `next` fields. Steady-state push/pop therefore performs **zero
+//! allocation** — the slab and the drain buffer grow to the queue's
+//! high-water depth and are reused forever after.
 //!
 //! ## Bucket drains and same-instant fusion
 //!
-//! When the cursor first reaches an occupied bucket, its chain is
+//! When the cursor first reaches an occupied fine bucket, its chain is
 //! *gathered* into a reusable drain buffer of `(time, seq, slot)` keys
 //! and sorted ascending once (a sortedness scan skips the sort for the
 //! common already-ordered chain — in particular any same-instant tie
@@ -39,14 +43,12 @@
 //! head, tail)` chain per distinct timestamp, appended O(1), and merged
 //! against the drain buffer at pop. On a time tie the buffer wins — its
 //! events predate every pending push, so `(time, seq)` order is
-//! preserved exactly. This replaces the per-push binary-search insertion
-//! of the previous revision with an O(1) append plus an O(1) two-way
-//! merge step at pop.
+//! preserved exactly.
 //!
-//! ## Bucket-width heuristic
+//! ## Bucket width and level layout
 //!
-//! Each bucket spans `2^BUCKET_SHIFT` nanoseconds (currently 2^19 ns ≈
-//! 524 µs). That width sits between the executor's two natural time
+//! Each fine bucket spans `2^BUCKET_SHIFT` nanoseconds (currently 2^19 ns
+//! ≈ 524 µs). That width sits between the executor's two natural time
 //! scales: per-batch CPU costs (tens of microseconds — so simultaneous
 //! and near-simultaneous completions share a bucket instead of
 //! scattering across thousands) and per-batch disk service times
@@ -54,17 +56,27 @@
 //! many buckets instead of piling into one). Measured on the executor's
 //! cluster join, 2^19 beats both 2^18 and 2^20: a few events per bucket
 //! amortizes the bucket-transition scan without inflating the in-bucket
-//! sort. The bucket count is a power of two sized from
+//! sort. The fine bucket count is a power of two sized from
 //! [`EventQueue::with_capacity`]'s hint (clamped to `[64, 65536]`,
-//! default 1024), putting the wheel horizon at `buckets × 524 µs` —
-//! e.g. ≈ 537 ms for the default — which covers
-//! the scheduling distance of almost every event the executor produces;
-//! the rare longer-range event (a deeply queued disk or a saturated
-//! interconnect) takes the overflow heap and migrates back in.
+//! default 1024), putting the fine horizon at `buckets × 524 µs`: 268 ms
+//! for the 512 buckets of a 16-disk run, 537 ms for the 1024 of a
+//! 64-disk one.
+//!
+//! The fine horizon does **not** cover the executor's scheduling
+//! distances. A saturated disk queue, CPU or interconnect books
+//! completions 0.3–1 s ahead, and on the `--quick` figure grid about one
+//! push in six lands past the fine horizon — two in three on the 16-disk
+//! Active Disk sort, over a third on every 64-disk SMP task. Those
+//! pushes take the first coarse level, whose 64 buckets of one fine
+//! horizon each reach 17–34 s ahead; each such event is touched once
+//! more, when its coarse bucket cascades. Only events beyond that (a
+//! far arrival or deadline) climb higher and cascade more than once;
+//! [`EventQueue::overflow_pushes`] counts them, and none of the
+//! repository's figure configurations produces one.
 //!
 //! Determinism is unchanged from the classic heap: ties fire in push
-//! order via the per-event sequence number, whatever mixture of
-//! bucket/overflow placements the events took. The reference
+//! order via the per-event sequence number, whatever mixture of levels
+//! and cascades the events took. The reference
 //! [`QueueBackend::BinaryHeap`] backend is kept for differential
 //! testing and benchmarking.
 
@@ -73,14 +85,18 @@ use std::collections::BinaryHeap;
 
 use crate::time::SimTime;
 
-/// Log2 of the bucket width in nanoseconds (2^19 ns ≈ 524 µs).
+/// Log2 of the fine bucket width in nanoseconds (2^19 ns ≈ 524 µs).
 const BUCKET_SHIFT: u32 = 19;
-/// Bucket count when no capacity hint is given.
+/// Fine bucket count when no capacity hint is given.
 const DEFAULT_BUCKETS: usize = 1024;
-/// Smallest allowed bucket count (one bitmap word).
+/// Smallest allowed fine bucket count (one bitmap word).
 const MIN_BUCKETS: usize = 64;
-/// Largest allowed bucket count (64k buckets ≈ 17 s horizon).
+/// Largest allowed fine bucket count (64k buckets ≈ 17 s horizon).
 const MAX_BUCKETS: usize = 1 << 16;
+/// Log2 of the bucket count of every coarse level (one bitmap word).
+const LEVEL_BITS: u32 = 6;
+/// Buckets per coarse level.
+const LEVEL_BUCKETS: usize = 1 << LEVEL_BITS;
 
 /// Null slot index terminating arena chains and the freelist.
 const NIL: u32 = u32::MAX;
@@ -126,7 +142,7 @@ impl<E> PartialOrd for Scheduled<E> {
 /// differential-testing and benchmarking reference.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum QueueBackend {
-    /// Arena-backed calendar-queue / timing-wheel scheduler (the default).
+    /// Arena-backed hierarchical timing-wheel scheduler (the default).
     #[default]
     CalendarWheel,
     /// The classic binary-heap scheduler.
@@ -152,24 +168,70 @@ struct Run {
     tail: u32,
 }
 
-/// The arena-backed calendar-wheel scheduler level structure.
+/// One coarse level: 64 bucket chains, each `2^shift` ns wide.
+///
+/// Invariant: an event on this level has `abs = time >> shift` in
+/// `[cur, cur + 64)`, where `cur` is the fine cursor's position at this
+/// level's resolution, so its physical bucket `abs & 63` is unambiguous
+/// and the first set bit after `cur & 63` (circularly) is the earliest.
+#[derive(Debug, Clone)]
+struct Level {
+    /// Log2 of the bucket width in nanoseconds.
+    shift: u32,
+    heads: [u32; LEVEL_BUCKETS],
+    tails: [u32; LEVEL_BUCKETS],
+    /// One bit per bucket: set iff the bucket holds events.
+    occupied: u64,
+}
+
+impl Level {
+    /// The fine cursor's position at this level's resolution.
+    fn cur(&self, cursor: u64) -> u64 {
+        cursor >> (self.shift - BUCKET_SHIFT)
+    }
+
+    /// Absolute index of this level's earliest occupied bucket (the
+    /// level must hold events).
+    fn earliest(&self, cursor: u64) -> u64 {
+        let cur = self.cur(cursor);
+        cur + u64::from(
+            self.occupied
+                .rotate_right((cur % LEVEL_BUCKETS as u64) as u32)
+                .trailing_zeros(),
+        )
+    }
+}
+
+/// Appends slot `idx` to the chain `(heads[b], tails[b])`.
+fn link<E>(slots: &mut [Slot<E>], heads: &mut [u32], tails: &mut [u32], b: usize, idx: u32) {
+    let tail = tails[b];
+    if tail == NIL {
+        heads[b] = idx;
+    } else {
+        slots[tail as usize].next = idx;
+    }
+    tails[b] = idx;
+}
+
+/// The arena-backed hierarchical timing-wheel scheduler.
 #[derive(Debug, Clone)]
 struct Wheel<E> {
-    /// The arena slab holding every in-horizon event.
+    /// The arena slab holding every pending event.
     slots: Vec<Slot<E>>,
     /// Freelist head threaded through `Slot::next` (`NIL` = empty).
     free: u32,
-    /// Per-bucket chain heads; slot = `abs & (len - 1)` where
+    /// Per-fine-bucket chain heads; slot = `abs & (len - 1)` where
     /// `abs = time_ns >> BUCKET_SHIFT`. `NIL` = empty.
     heads: Vec<u32>,
-    /// Per-bucket chain tails (`NIL` = empty).
+    /// Per-fine-bucket chain tails (`NIL` = empty).
     tails: Vec<u32>,
-    /// One bit per bucket: set iff the bucket holds events.
+    /// One bit per fine bucket: set iff the bucket holds events.
     occupied: Vec<u64>,
-    /// Events currently held in buckets (excludes overflow).
+    /// Events currently held in fine buckets.
     count: usize,
-    /// Absolute bucket index of the wheel's current position. Invariant:
-    /// every bucketed event has `abs` in `[cursor, cursor + nbuckets)`.
+    /// Absolute fine bucket index of the wheel's current position.
+    /// Invariant: every fine event has `abs` in `[cursor, cursor +
+    /// nbuckets)`, and every coarse event lies at or after `cursor`.
     cursor: u64,
     /// Whether `drain_buf`/`pending` describe the cursor's bucket.
     draining: bool,
@@ -180,19 +242,35 @@ struct Wheel<E> {
     /// Same-instant runs pushed into the bucket being drained, sorted
     /// ascending by time (a handful of distinct timestamps at most).
     pending: Vec<Run>,
-    /// Far-future events beyond the wheel horizon, earliest-first.
-    overflow: BinaryHeap<Scheduled<E>>,
+    /// Coarse levels, finest first; the last one spans all of time.
+    levels: Vec<Level>,
+    /// Events currently held on coarse levels.
+    upper: usize,
+    /// Pushes that landed above the first coarse level.
+    overflow_pushes: u64,
 }
 
 impl<E> Wheel<E> {
-    /// A wheel pre-sized for `capacity` pending events. The bucket count
-    /// is the hint's next power of two, clamped, with the no-hint default
-    /// of [`DEFAULT_BUCKETS`].
+    /// A wheel pre-sized for `capacity` pending events. The fine bucket
+    /// count is the hint's next power of two, clamped, with the no-hint
+    /// default of [`DEFAULT_BUCKETS`]; coarse levels are added until the
+    /// top one spans all of `u64` time.
     fn with_capacity(capacity: usize) -> Self {
         let nbuckets = match capacity {
             0 => DEFAULT_BUCKETS,
             c => c.next_power_of_two().clamp(MIN_BUCKETS, MAX_BUCKETS),
         };
+        let mut levels = Vec::new();
+        let mut shift = BUCKET_SHIFT + nbuckets.trailing_zeros();
+        while shift < u64::BITS {
+            levels.push(Level {
+                shift,
+                heads: [NIL; LEVEL_BUCKETS],
+                tails: [NIL; LEVEL_BUCKETS],
+                occupied: 0,
+            });
+            shift += LEVEL_BITS;
+        }
         Wheel {
             slots: Vec::with_capacity(capacity),
             free: NIL,
@@ -205,7 +283,9 @@ impl<E> Wheel<E> {
             drain_buf: Vec::with_capacity(capacity),
             pos: 0,
             pending: Vec::new(),
-            overflow: BinaryHeap::with_capacity(capacity),
+            levels,
+            upper: 0,
+            overflow_pushes: 0,
         }
     }
 
@@ -222,7 +302,7 @@ impl<E> Wheel<E> {
     }
 
     fn len(&self) -> usize {
-        self.count + self.overflow.len()
+        self.count + self.upper
     }
 
     /// Takes a slot from the freelist, or grows the slab.
@@ -261,25 +341,45 @@ impl<E> Wheel<E> {
     }
 
     fn push(&mut self, ev: Scheduled<E>) {
-        let abs = Self::abs_of(ev.time);
-        if abs >= self.cursor + self.nbuckets() {
-            self.overflow.push(ev);
-        } else {
-            debug_assert!(abs >= self.cursor, "bucketed event behind the cursor");
-            self.place(ev.time, ev.seq, ev.payload, abs);
+        let idx = self.alloc(ev.time, ev.seq, ev.payload);
+        if self.place(idx, ev.time) > 1 {
+            self.overflow_pushes += 1;
         }
     }
 
-    /// Puts an in-horizon event into its bucket chain, or — for pushes
+    /// Links slot `idx` (due at `time`, `next == NIL`) into the finest
+    /// level whose window holds it and returns that level (0 = fine).
+    fn place(&mut self, idx: u32, time: SimTime) -> usize {
+        let abs = Self::abs_of(time);
+        debug_assert!(abs >= self.cursor, "event behind the cursor");
+        if abs - self.cursor < self.nbuckets() {
+            self.place_fine(idx, time, abs);
+            return 0;
+        }
+        let t = time.as_nanos();
+        for (i, lv) in self.levels.iter_mut().enumerate() {
+            let b = t >> lv.shift;
+            if b - lv.cur(self.cursor) < LEVEL_BUCKETS as u64 {
+                let b = (b % LEVEL_BUCKETS as u64) as usize;
+                link(&mut self.slots, &mut lv.heads, &mut lv.tails, b, idx);
+                lv.occupied |= 1 << b;
+                self.upper += 1;
+                return i + 1;
+            }
+        }
+        unreachable!("the top level spans all of time")
+    }
+
+    /// Puts a fine-horizon event into its bucket chain, or — for pushes
     /// into the bucket currently being drained — fuses it into the
     /// pending runs.
-    fn place(&mut self, time: SimTime, seq: u64, payload: E, abs: u64) {
-        let idx = self.alloc(time, seq, payload);
+    fn place_fine(&mut self, idx: u32, time: SimTime, abs: u64) {
         let slot = (abs & self.mask()) as usize;
         if abs == self.cursor && self.draining {
             // Same-instant fusion: O(1) append to the run for this
             // timestamp. Chains are in push order, which is seq order —
-            // the global sequence counter is monotonic.
+            // the global sequence counter is monotonic, and cascades
+            // never land here (they run with `draining` cleared).
             match self.pending.binary_search_by_key(&time, |r| r.time) {
                 Ok(i) => {
                     let tail = self.pending[i].tail;
@@ -296,46 +396,59 @@ impl<E> Wheel<E> {
                 ),
             }
         } else {
-            let tail = self.tails[slot];
-            if tail == NIL {
-                self.heads[slot] = idx;
-            } else {
-                self.slots[tail as usize].next = idx;
-            }
-            self.tails[slot] = idx;
+            link(&mut self.slots, &mut self.heads, &mut self.tails, slot, idx);
         }
         self.occupied[slot >> 6] |= 1 << (slot & 63);
         self.count += 1;
     }
 
-    /// Moves overflow events whose bucket entered the horizon into the
-    /// wheel. Must run before any pop selection: an overflow event can be
-    /// earlier than every bucketed one.
-    ///
-    /// Migration can never target the bucket being drained: by the time a
-    /// bucket is gathered, every overflow event destined for it has
-    /// already migrated (the pop that advanced the cursor onto the bucket
-    /// ran `migrate` first, and its horizon covered the bucket).
-    fn migrate(&mut self) {
-        let horizon = self.cursor + self.nbuckets();
-        while let Some(top) = self.overflow.peek() {
-            let abs = Self::abs_of(top.time);
-            if abs >= horizon {
-                break;
+    /// The earliest coarse bucket as `(level, abs, start)`, `start` in
+    /// fine-bucket units; ties go to the finer level.
+    fn earliest_upper(&self) -> Option<(usize, u64, u64)> {
+        let mut best: Option<(usize, u64, u64)> = None;
+        for (i, lv) in self.levels.iter().enumerate() {
+            if lv.occupied == 0 {
+                continue;
             }
-            debug_assert!(
-                !(self.draining && abs == self.cursor),
-                "overflow migration into a bucket mid-drain"
-            );
-            let ev = self.overflow.pop().expect("peeked entry");
-            self.place(ev.time, ev.seq, ev.payload, abs);
+            let b = lv.earliest(self.cursor);
+            let start = b << (lv.shift - BUCKET_SHIFT);
+            if best.is_none_or(|(_, _, s)| start < s) {
+                best = Some((i, b, start));
+            }
+        }
+        best
+    }
+
+    /// Moves the cursor to coarse bucket `b` of level `i` (which starts
+    /// at fine bucket `start`, no later than any pending event) and
+    /// re-places its chain one or more levels down. Chains keep push
+    /// order, so a cascaded fine chain is usually still sorted.
+    fn cascade(&mut self, i: usize, b: u64, start: u64) {
+        debug_assert!(!self.draining);
+        self.cursor = self.cursor.max(start);
+        let lv = &mut self.levels[i];
+        let b = (b % LEVEL_BUCKETS as u64) as usize;
+        let mut h = lv.heads[b];
+        lv.heads[b] = NIL;
+        lv.tails[b] = NIL;
+        lv.occupied &= !(1 << b);
+        while h != NIL {
+            let s = &mut self.slots[h as usize];
+            let (next, time) = (s.next, s.time);
+            s.next = NIL;
+            self.upper -= 1;
+            self.place(h, time);
+            h = next;
         }
     }
 
-    /// Physical index of the first occupied bucket at or circularly after
-    /// the cursor slot. Buckets only hold events within the horizon, so
-    /// the first set bit in cursor order is also the earliest bucket.
+    /// Physical index of the first occupied fine bucket at or circularly
+    /// after the cursor slot. Fine buckets only hold events within the
+    /// horizon, so the first set bit in cursor order is also the earliest.
     fn next_occupied(&self) -> Option<usize> {
+        if self.count == 0 {
+            return None;
+        }
         let start = (self.cursor & self.mask()) as usize;
         let words = self.occupied.len();
         let mut w = start >> 6;
@@ -362,8 +475,8 @@ impl<E> Wheel<E> {
 
     /// Gathers a bucket's chain into the drain buffer, sorting ascending
     /// by `(time, seq)` unless the chain is already ordered (direct
-    /// pushes are — seq is monotonic; only an interleaved overflow
-    /// migration can weave an older seq behind a newer one).
+    /// pushes are — seq is monotonic; only a cascade can weave an older
+    /// seq behind a newer one).
     fn gather(&mut self, slot: usize) {
         debug_assert!(self.pos == self.drain_buf.len() && self.pending.is_empty());
         self.drain_buf.clear();
@@ -425,24 +538,43 @@ impl<E> Wheel<E> {
 
     fn pop(&mut self) -> Option<Scheduled<E>> {
         // Fast path: the bucket being drained still holds events. They
-        // all precede every other bucket (later `abs`) and every
-        // overflow event (beyond some past horizon ≥ cursor + 1), so no
-        // bitmap scan or migration check is needed.
+        // all precede every other fine bucket (later `abs`) and every
+        // coarse bucket (each starts past the cursor), so no bitmap scan
+        // or cascade check is needed.
         if self.draining && (self.pos < self.drain_buf.len() || !self.pending.is_empty()) {
             return Some(self.pop_current());
         }
-        if self.count == 0 {
-            // Wheel empty: jump the cursor to the overflow's earliest
-            // bucket so migration can land it.
-            let abs = Self::abs_of(self.overflow.peek()?.time);
-            self.cursor = abs;
-            self.draining = false;
+        if self.len() == 0 {
+            return None;
         }
-        self.migrate();
-        let slot = self.next_occupied().expect("wheel holds events");
+        self.draining = false;
+        // Cascade every coarse bucket that starts at or before the next
+        // occupied fine bucket: its events may precede that bucket's.
+        let mut next = self.next_occupied();
+        if self.upper > 0 {
+            while let Some((i, b, start)) = self.earliest_upper() {
+                if next.is_some_and(|slot| self.abs_at(slot) < start) {
+                    break;
+                }
+                self.cascade(i, b, start);
+                next = self.next_occupied();
+            }
+        }
+        let slot = next.expect("wheel holds events");
         self.cursor = self.abs_at(slot);
         self.gather(slot);
         Some(self.pop_current())
+    }
+
+    /// The time of the earliest event in the chain starting at `h`.
+    fn chain_min(&self, mut h: u32) -> Option<SimTime> {
+        let mut best: Option<SimTime> = None;
+        while h != NIL {
+            let s = &self.slots[h as usize];
+            best = Some(best.map_or(s.time, |b| b.min(s.time)));
+            h = s.next;
+        }
+        best
     }
 
     /// The time of the earliest pending event, without mutating the
@@ -450,8 +582,7 @@ impl<E> Wheel<E> {
     /// legal range of future pushes).
     fn peek_time(&self) -> Option<SimTime> {
         // Fast path, mirroring `pop`: live drain state precedes every
-        // other bucket and every overflow event, so no bitmap scan or
-        // overflow comparison is needed.
+        // other bucket on every level.
         if self.draining {
             let buf = self.drain_buf.get(self.pos).map(|&(t, _, _)| t);
             let pend = self.pending.first().map(|r| r.time);
@@ -459,29 +590,21 @@ impl<E> Wheel<E> {
                 return Some(t);
             }
         }
-        let bucket = if self.count > 0 {
-            // Untouched bucket: min-scan its chain.
-            let slot = self.next_occupied().expect("wheel holds events");
-            let mut h = self.heads[slot];
-            let mut best: Option<SimTime> = None;
-            while h != NIL {
-                let s = &self.slots[h as usize];
-                best = Some(best.map_or(s.time, |b| b.min(s.time)));
-                h = s.next;
-            }
-            best
-        } else {
-            None
-        };
-        // An overflow event just outside a stale horizon can precede
-        // every bucketed one, so always compare against the overflow top.
-        let over = self.overflow.peek().map(|s| s.time);
-        bucket.into_iter().chain(over).min()
+        // Otherwise the earliest event is in the first occupied bucket of
+        // some level: min-scan each of those chains.
+        let fine = self
+            .next_occupied()
+            .and_then(|slot| self.chain_min(self.heads[slot]));
+        let coarse = self.levels.iter().filter(|lv| lv.occupied != 0).map(|lv| {
+            let b = (lv.earliest(self.cursor) % LEVEL_BUCKETS as u64) as usize;
+            self.chain_min(lv.heads[b])
+        });
+        fine.into_iter().chain(coarse.flatten()).min()
     }
 
     /// Events the wheel can hold without any allocation growing.
     fn capacity(&self) -> usize {
-        self.slots.capacity() + self.overflow.capacity()
+        self.slots.capacity()
     }
 }
 
@@ -523,8 +646,8 @@ pub struct EventQueue<E> {
 /// events pushed after the restore receive larger seqs than all pending
 /// ones — exactly as they would have in the uninterrupted run. Dropping
 /// the seqs is what makes the snapshot byte-identical across backends
-/// (a wheel's freelist layout, pending runs, and overflow split are all
-/// re-normalized away).
+/// (a wheel's freelist layout, pending runs, and level placement are
+/// all re-normalized away).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QueueSnapshot<E> {
     /// Pending events in exact pop order.
@@ -557,9 +680,9 @@ impl<E> EventQueue<E> {
     /// Event-loop hot paths (one simulation pushes millions of events)
     /// pre-size the queue to its steady-state depth so the backing
     /// buffers never reallocate mid-run. On the wheel backends the hint
-    /// sizes the bucket array (next power of two, clamped to
-    /// `[64, 65536]` — see the module comment for the width heuristic)
-    /// and pre-reserves the arena slab, drain buffer, and overflow heap.
+    /// sizes the fine bucket array (next power of two, clamped to
+    /// `[64, 65536]` — see the module comment for the level layout) and
+    /// pre-reserves the arena slab and drain buffer.
     pub fn with_capacity(capacity: usize) -> Self {
         Self::with_backend_capacity(QueueBackend::default(), capacity)
     }
@@ -586,8 +709,8 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Number of events the queue can hold without reallocating (summed
-    /// over the arena slab and overflow level on the wheel backends).
+    /// Number of events the queue can hold without reallocating (the
+    /// arena slab on the wheel backend).
     pub fn capacity(&self) -> usize {
         match &self.backend {
             Backend::Wheel(w) => w.capacity(),
@@ -677,6 +800,20 @@ impl<E> EventQueue<E> {
         self.popped
     }
 
+    /// Pushes the wheel placed above its first coarse level: events
+    /// scheduled more than 64 fine horizons (17 s at 512 fine buckets)
+    /// past the cursor, which cascade through two or more levels before
+    /// they reach a fine bucket. Always 0 on the heap backend. A push
+    /// within the fine horizon costs one bucket append; one within the
+    /// first coarse level costs one more relink when its bucket
+    /// cascades; this counter is the share that costs more than that.
+    pub fn overflow_pushes(&self) -> u64 {
+        match &self.backend {
+            Backend::Wheel(w) => w.overflow_pushes,
+            Backend::Heap(_) => 0,
+        }
+    }
+
     /// The time of the earliest pending event, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
         match &self.backend {
@@ -724,8 +861,9 @@ impl<E: Clone> EventQueue<E> {
     ///
     /// Call after `with_backend_capacity`:
     /// the wheel, freelist, and pending-run structures are rebuilt from
-    /// scratch by ordinary pushes, so a restored wheel is bit-equivalent
-    /// to one that reached this state live. Pending events are assigned
+    /// scratch by ordinary pushes, with the wheel's cursor started at the
+    /// snapshot's clock, so pop order is exactly that of the queue that
+    /// was captured. Pending events are assigned
     /// fresh sequence numbers `0..n` in pop order (see [`QueueSnapshot`]).
     ///
     /// # Panics
@@ -736,6 +874,13 @@ impl<E: Clone> EventQueue<E> {
             self.is_empty() && self.popped == 0,
             "snapshot must load into a fresh queue"
         );
+        if let Backend::Wheel(w) = &mut self.backend {
+            // Events land on the levels a live queue at this clock would
+            // use (never behind the cursor, even if one precedes it).
+            let first = snap.events.iter().map(|&(t, _)| t).min();
+            w.cursor =
+                Wheel::<E>::abs_of(first.map_or(snap.last_popped, |t| t.min(snap.last_popped)));
+        }
         for (time, payload) in snap.events {
             debug_assert!(time >= snap.last_popped, "pending event behind the clock");
             self.push(time, payload);
@@ -801,9 +946,9 @@ mod tests {
 
     #[test]
     fn ties_break_fifo_across_wheel_and_overflow() {
-        // Same-time events split between the bucket array and the
-        // overflow heap (the queue's position moves between the pushes)
-        // must still fire in push order after migration.
+        // Same-time events split between the fine bucket array and the
+        // first coarse level (the queue's position moves between the
+        // pushes) must still fire in push order after the cascade.
         let mut q = EventQueue::new();
         let far = SimTime::from_nanos((DEFAULT_BUCKETS as u64 + 1) << super::BUCKET_SHIFT);
         // Interleave: a near event, then far-future ties pushed both
@@ -842,7 +987,7 @@ mod tests {
     #[should_panic(expected = "past")]
     fn wheel_rejects_past_events_after_cursor_advance() {
         // The wheel path specifically: advance the cursor far past the
-        // first bucket (through the overflow level), then schedule behind
+        // first bucket (through a coarse level), then schedule behind
         // it. The push must panic, not corrupt the wheel.
         let mut q = EventQueue::with_backend(QueueBackend::CalendarWheel);
         let far = SimTime::from_nanos((DEFAULT_BUCKETS as u64 + 7) << super::BUCKET_SHIFT);
@@ -952,8 +1097,8 @@ mod tests {
 
     // ----- Wheel edge cases -------------------------------------------
 
-    /// An event exactly on the overflow-horizon boundary
-    /// (`abs == cursor + nbuckets`) must take the overflow heap, and one
+    /// An event exactly on the fine-horizon boundary
+    /// (`abs == cursor + nbuckets`) must take the coarse level, and one
     /// just inside must take a bucket; both pop in global order.
     #[test]
     fn horizon_boundary_event_splits_correctly() {
@@ -993,21 +1138,21 @@ mod tests {
         assert_eq!(out, expected);
     }
 
-    /// Overflow migration racing a same-time in-bucket insertion: a
-    /// far-future event migrates into a bucket that already holds a
+    /// A cascade racing a same-time in-bucket insertion: a far-future
+    /// event cascades into a fine bucket that already holds a
     /// *newer-seq* event at the same instant. The gather sort must
     /// restore seq order (the chain alone is not sorted).
     #[test]
     fn migration_races_same_time_insertion() {
         let mut q: EventQueue<u32> = EventQueue::with_backend(QueueBackend::CalendarWheel);
         let t = SimTime::from_nanos((DEFAULT_BUCKETS as u64 + 5) << super::BUCKET_SHIFT);
-        q.push(t, 0); // beyond horizon: overflow (seq 0)
+        q.push(t, 0); // beyond the fine horizon: coarse level (seq 0)
         q.push(SimTime::from_nanos(1), 99);
         // Advancing past the near event pulls the horizon forward.
         assert_eq!(q.pop().map(|(_, e)| e), Some(99));
         // Now `t` is within the horizon: this lands in the bucket chain
-        // directly (seq 2), while seq 0 is still in overflow until the
-        // next pop migrates it — behind seq 2 in the chain.
+        // directly (seq 2), while seq 0 is still on the coarse level
+        // until the next pop cascades it — behind seq 2 in the chain.
         q.push(t, 1);
         let rest: Vec<u32> = q.drain().map(|(_, e)| e).collect();
         assert_eq!(rest, vec![0, 1], "older seq must still pop first");
@@ -1041,13 +1186,21 @@ mod tests {
         assert_eq!(out, expected);
     }
 
-    /// Drives every backend pair with the same operation sequence and
-    /// asserts identical observable behavior at every step.
+    /// The queues every differential test compares: the heap oracle
+    /// first, then the default wheel and the smallest wheel (64 fine
+    /// buckets, 33 ms horizon, seven coarse levels).
+    fn oracle_and_wheels() -> Vec<EventQueue<u64>> {
+        vec![
+            EventQueue::with_backend(QueueBackend::BinaryHeap),
+            EventQueue::with_backend(QueueBackend::CalendarWheel),
+            EventQueue::with_backend_capacity(QueueBackend::CalendarWheel, MIN_BUCKETS),
+        ]
+    }
+
+    /// Drives the heap oracle and the wheels with the same operation
+    /// sequence and asserts identical observable behavior at every step.
     fn differential(ops: &[(u8, u64)]) {
-        let mut queues: Vec<EventQueue<u64>> = BACKENDS
-            .iter()
-            .map(|&b| EventQueue::<u64>::with_backend(b))
-            .collect();
+        let mut queues = oracle_and_wheels();
         let mut payload = 0u64;
         for &(op, t) in ops {
             if op % 3 != 0 {
@@ -1106,25 +1259,27 @@ mod tests {
     /// restore into every backend, finish `ops[cut..]` on each — the full
     /// pop sequence must be identical to the uninterrupted run's.
     fn snapshot_differential(ops: &[(u8, u64)], cut: usize) {
-        for src in BACKENDS {
-            // Uninterrupted reference on the source backend.
-            let mut reference = EventQueue::<u64>::with_backend(src);
+        let fresh = |i: usize| oracle_and_wheels().swap_remove(i);
+        let n = oracle_and_wheels().len();
+        for src in 0..n {
+            // Uninterrupted reference on the source queue.
+            let mut reference = fresh(src);
             let mut ref_payload = 0u64;
             let mut ref_pops = Vec::new();
             apply_ops(&mut reference, ops, &mut ref_payload, &mut ref_pops);
             let ref_rest: Vec<(SimTime, u64)> = reference.drain().collect();
 
             // Interrupted run: pause at `cut`, snapshot, restore into
-            // each destination backend (including cross-backend moves).
-            let mut base = EventQueue::<u64>::with_backend(src);
+            // each destination (including cross-backend moves).
+            let mut base = fresh(src);
             let mut base_payload = 0u64;
             let mut base_pops = Vec::new();
             apply_ops(&mut base, &ops[..cut], &mut base_payload, &mut base_pops);
             let snap = base.snapshot();
             assert_eq!(snap.events.len(), base.len(), "snapshot is non-destructive");
 
-            for dst in BACKENDS {
-                let mut restored = EventQueue::<u64>::with_backend(dst);
+            for dst in 0..n {
+                let mut restored = fresh(dst);
                 restored.load_snapshot(snap.clone());
                 assert_eq!(restored.len(), base.len());
                 assert_eq!(restored.popped(), base.popped());
@@ -1136,8 +1291,8 @@ mod tests {
                 pops.extend(restored.drain());
                 let mut expected = ref_pops.clone();
                 expected.extend(ref_rest.iter().copied());
-                assert_eq!(pops, expected, "src {src:?} -> dst {dst:?} cut {cut}");
-                assert_eq!(restored.popped(), reference.popped(), "{src:?}->{dst:?}");
+                assert_eq!(pops, expected, "src {src} -> dst {dst} cut {cut}");
+                assert_eq!(restored.popped(), reference.popped(), "{src}->{dst}");
             }
         }
     }
@@ -1204,6 +1359,129 @@ mod tests {
         differential(&ops);
     }
 
+    /// A scheduling distance drawn log-uniformly from 1 ns to 2^56 ns:
+    /// same-bucket, fine-horizon, and six coarse levels of the smallest
+    /// wheel (fine horizon 2^25 ns, a level every 6 bits). The clock
+    /// stays far from `u64` overflow over a few hundred operations.
+    fn across_levels(rng: &mut SplitMix64) -> u64 {
+        match rng.next_below(8) {
+            0 => 0,
+            _ => {
+                let bits = 1 + rng.next_below(56);
+                rng.next_below(1 << bits)
+            }
+        }
+    }
+
+    #[test]
+    fn overflow_pushes_count_events_above_the_first_coarse_level() {
+        // Smallest wheel: fine horizon 64 buckets (2^25 ns), first coarse
+        // level 64 fine horizons (2^31 ns).
+        let mut q: EventQueue<u32> =
+            EventQueue::with_backend_capacity(QueueBackend::CalendarWheel, MIN_BUCKETS);
+        q.push(SimTime::from_nanos((1 << 25) - 1), 0); // fine
+        q.push(SimTime::from_nanos(1 << 25), 1); // first coarse level
+        q.push(SimTime::from_nanos((1 << 31) - 1), 2); // first coarse level
+        assert_eq!(q.overflow_pushes(), 0);
+        q.push(SimTime::from_nanos(1 << 31), 3); // second coarse level
+        q.push(SimTime::from_nanos(u64::MAX), 4); // top level
+        assert_eq!(q.overflow_pushes(), 2);
+        let out: Vec<u32> = q.drain().map(|(_, e)| e).collect();
+        assert_eq!(out, vec![0, 1, 2, 3, 4]);
+        // Cascades are not pushes: the counter only moves on `push`.
+        assert_eq!(q.overflow_pushes(), 2);
+        let mut heap: EventQueue<u32> = EventQueue::with_backend(QueueBackend::BinaryHeap);
+        heap.push(SimTime::from_nanos(u64::MAX), 0);
+        assert_eq!(heap.overflow_pushes(), 0);
+    }
+
+    /// A coarse bucket whose first fine bucket is also occupied on the
+    /// fine level must cascade before that fine bucket is drained: its
+    /// events may be earlier, or tie with older seqs.
+    #[test]
+    fn coarse_bucket_cascades_before_the_fine_bucket_at_its_start() {
+        for (a_off, b_off) in [(50u64, 100u64), (70, 70)] {
+            // Smallest wheel: 64 fine buckets, so fine bucket 64 is the
+            // first of coarse bucket 1.
+            let mut q: EventQueue<char> =
+                EventQueue::with_backend_capacity(QueueBackend::CalendarWheel, MIN_BUCKETS);
+            let base = 64u64 << BUCKET_SHIFT;
+            q.push(SimTime::from_nanos(base + a_off), 'a'); // coarse level
+            q.push(SimTime::from_nanos(1 << BUCKET_SHIFT), 'c');
+            assert_eq!(q.pop().map(|(_, e)| e), Some('c'));
+            q.push(SimTime::from_nanos(base + b_off), 'b'); // fine level
+            let out: Vec<char> = q.drain().map(|(_, e)| e).collect();
+            assert_eq!(out, ['a', 'b'], "a at +{a_off}, b at +{b_off}");
+        }
+    }
+
+    #[test]
+    fn restore_places_events_relative_to_the_snapshot_clock() {
+        // A queue paused far into a run: its events sit just past the
+        // clock, so a restored wheel must put them on the fine level,
+        // not count them as far-future pushes from time zero.
+        let clock = SimTime::from_nanos(1 << 40);
+        let snap = QueueSnapshot {
+            events: (0..8u64)
+                .map(|i| (clock + crate::time::Duration::from_millis(i), i))
+                .collect(),
+            popped: 100,
+            last_popped: clock,
+        };
+        let mut q: EventQueue<u64> =
+            EventQueue::with_backend_capacity(QueueBackend::CalendarWheel, MIN_BUCKETS);
+        q.load_snapshot(snap);
+        assert_eq!(q.overflow_pushes(), 0);
+        assert_eq!(
+            q.drain().map(|(_, e)| e).collect::<Vec<_>>(),
+            (0..8).collect::<Vec<_>>()
+        );
+    }
+
+    #[test]
+    fn snapshot_mid_cascade_restores_exactly() {
+        // Events on four levels of the smallest wheel; popping the first
+        // coarse-level event cascades its bucket and moves the cursor
+        // while the higher levels still hold events. A snapshot taken
+        // there must resume identically on every backend.
+        let mut src: EventQueue<u64> =
+            EventQueue::with_backend_capacity(QueueBackend::CalendarWheel, MIN_BUCKETS);
+        let times = [
+            1u64 << 26,
+            (1 << 26) + 5,
+            (1 << 26) + (1 << 20),
+            3 << 31,
+            3 << 31,
+            (1 << 37) + 1,
+            1 << 50,
+            7,
+        ];
+        for (i, &t) in times.iter().enumerate() {
+            src.push(SimTime::from_nanos(t), i as u64);
+        }
+        assert_eq!(src.pop(), Some((SimTime::from_nanos(7), 7)));
+        assert_eq!(src.pop(), Some((SimTime::from_nanos(1 << 26), 0)));
+        // Mid-cascade state: a drained-into fine bucket plus three
+        // populated coarse levels. Push a tie with a coarse event too.
+        src.push(SimTime::from_nanos(3 << 31), 8);
+        let snap = src.snapshot();
+        let mut expected = src.clone();
+        for mut dst in oracle_and_wheels() {
+            dst.load_snapshot(snap.clone());
+            dst.push(SimTime::from_nanos((1 << 26) + 5), 9);
+            let mut reference = expected.clone();
+            reference.push(SimTime::from_nanos((1 << 26) + 5), 9);
+            let a: Vec<_> = dst.drain().collect();
+            let b: Vec<_> = reference.drain().collect();
+            assert_eq!(a, b);
+            assert_eq!(
+                a.iter().map(|&(_, e)| e).collect::<Vec<_>>(),
+                [1, 9, 2, 3, 4, 8, 5, 6]
+            );
+        }
+        assert_eq!(expected.drain().count(), 7);
+    }
+
     proptest! {
         /// Popped event times are non-decreasing for any insertion order.
         #[test]
@@ -1258,6 +1536,32 @@ mod tests {
             snapshot_differential(&ops, cut);
         }
 
+        /// Differential across the whole level hierarchy: scheduling
+        /// distances from 0 to 2^56 ns push events onto every coarse
+        /// level, so pops interleave fine drains with multi-level
+        /// cascades; the wheels must match the heap at every step.
+        #[test]
+        fn prop_wheel_matches_heap_across_levels(seed in 0u64..300) {
+            let mut rng = SplitMix64::new(seed ^ 0x5EED_1E7E);
+            let ops: Vec<(u8, u64)> = (0..300)
+                .map(|_| (rng.next_below(3) as u8, across_levels(&mut rng)))
+                .collect();
+            differential(&ops);
+        }
+
+        /// Snapshot/restore taken anywhere in a multi-level workload —
+        /// including between a cascade and the drain of the buckets it
+        /// filled — resumes identically on every backend.
+        #[test]
+        fn prop_snapshot_across_levels_is_transparent(seed in 0u64..80, cut_frac in 0u64..100) {
+            let mut rng = SplitMix64::new(seed ^ 0xCA5C_ADE0);
+            let ops: Vec<(u8, u64)> = (0..160)
+                .map(|_| (rng.next_below(3) as u8, across_levels(&mut rng)))
+                .collect();
+            let cut = (ops.len() as u64 * cut_frac / 100) as usize;
+            snapshot_differential(&ops, cut);
+        }
+
         /// Differential: random interleaved push/pop workloads produce
         /// identical pop sequences (order, FIFO ties, and conservation)
         /// on the arena wheel and the reference heap.
@@ -1268,7 +1572,7 @@ mod tests {
             for _ in 0..400 {
                 let op = rng.next_below(3) as u8;
                 // Mix of scheduling distances: same-instant ties, intra-
-                // bucket, cross-bucket, and beyond-horizon overflow.
+                // bucket, cross-bucket, and beyond the fine horizon.
                 let dt = match rng.next_below(4) {
                     0 => 0,
                     1 => rng.next_below(1 << BUCKET_SHIFT),

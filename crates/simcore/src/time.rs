@@ -133,7 +133,7 @@ impl Duration {
             secs.is_finite() && secs >= 0.0,
             "Duration::from_secs_f64: invalid seconds value {secs}"
         );
-        Duration((secs * 1e9).round() as u64)
+        Duration(round_u64(secs * 1e9))
     }
 
     /// Constructs a duration from fractional milliseconds.
@@ -383,6 +383,16 @@ impl fmt::Display for Bandwidth {
     }
 }
 
+/// `x.round() as u64` (half away from zero, saturating) for `x ≥ 0`,
+/// without the libm call. Below 2^52 the fraction `x − ⌊x⌋` is exact;
+/// from 2^52 up every float is an integer, so the fraction is 0, and
+/// past `u64::MAX` (including +∞) the cast saturates.
+#[inline]
+fn round_u64(x: f64) -> u64 {
+    let t = x as u64;
+    t.saturating_add(u64::from(x - t as f64 >= 0.5))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -466,5 +476,49 @@ mod tests {
         assert!(!format!("{}", SimTime::ZERO).is_empty());
         assert!(!format!("{}", Duration::ZERO).is_empty());
         assert!(!format!("{}", Bandwidth::from_mb_per_sec(1.0)).is_empty());
+    }
+
+    #[test]
+    fn round_u64_matches_libm_round_at_the_edges() {
+        let two52 = (1u64 << 52) as f64;
+        let two53 = (1u64 << 53) as f64;
+        let two64 = 18_446_744_073_709_551_616.0_f64;
+        let cases = [
+            0.0,
+            -0.0,
+            0.5,
+            1.5,
+            2.5,
+            1e6 + 0.5,
+            0.499_999_999_999_999_94,
+            two52 - 0.5,
+            two52 - 1.5,
+            two52,
+            two52 + 1.0,
+            two53 - 1.0,
+            two53,
+            two53 + 2.0,
+            two64 / 2.0,
+            two64 - 2048.0,
+            two64,
+            two64 * 2.0,
+            1e30,
+            f64::MAX,
+            f64::INFINITY,
+        ];
+        for x in cases {
+            assert_eq!(round_u64(x), x.round() as u64, "{x:e}");
+        }
+        let mut rng = crate::SplitMix64::new(0xF00D);
+        for _ in 0..100_000 {
+            // Random magnitudes from 2^-10 to 2^70 with random mantissas,
+            // plus exact halves.
+            let e = rng.next_below(81) as i32 - 10;
+            let x = (rng.next_u64() >> 11) as f64 * 2f64.powi(e - 53);
+            let h = (rng.next_below(1 << 40) as f64) + 0.5;
+            for v in [x, h] {
+                assert_eq!(round_u64(v), v.round() as u64, "{v:e}");
+            }
+        }
     }
 }
